@@ -25,7 +25,7 @@ let name = function
    stragglers, id-residue partition sides.  Being a pure function of the
    ids keeps the slow set identical across reruns and lets experiments
    compute quorum arithmetic exactly. *)
-let is_slow t ~src ~dst =
+let[@inline] is_slow t ~src ~dst =
   match t with
   | Zero | Uniform _ | Exponential _ -> false
   | Straggler { every; _ } -> src mod every = 0
@@ -36,9 +36,9 @@ let is_slow t ~src ~dst =
    (see the DESIGN.md substitution note); the exponential model keeps the
    cpr-style heavy tail.  Exactly one [rng] draw per sample for every
    non-zero model, so stream consumption never depends on link structure. *)
-let uniform_base rng m = (0.5 *. m) +. Rng.float rng m
+let[@inline] uniform_base rng m = (0.5 *. m) +. Rng.float rng m
 
-let sample t rng ~src ~dst =
+let[@inline] sample t rng ~src ~dst =
   match t with
   | Zero -> 0.0
   | Uniform { mean } -> uniform_base rng mean

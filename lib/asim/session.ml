@@ -7,11 +7,35 @@ module Rng = Prng.Rng
 module Ledger = Metrics.Ledger
 module Graph = Dsgraph.Graph
 
+(* randNum's two phases, int-coded so both primitives share one kernel. *)
+let escrow = 0
+let reveal = 1
+
 type t = {
   cfg : Config.t;
   delay : Delay.t;
   rng : Rng.t;
   patience : float;
+  (* The session's one kernel, reset at the start of every sub-session. *)
+  net : int Anet.t;
+  (* Sender id -> its position in the current sub-session's sender list;
+     the tallies below are indexed by position. *)
+  pos : (int, int) Hashtbl.t;
+  (* randNum: arrival time of contributor [i]'s escrow / reveal at member
+     [j], at [i * n + j]; [infinity] until it arrives. *)
+  mutable escrow_at : float array;
+  mutable reveal_at : float array;
+  (* valChan: one first-vote tally per honest destination [d] over the
+     [n] source members — [voted.(d * n + s)] per source, the distinct
+     values and their counts at [d * n + 0 .. d * n + n_values.(d) - 1],
+     and the time and value of the first strict majority ([infinity]
+     while there is none). *)
+  mutable voted : bool array;
+  mutable values : int array;
+  mutable counts : int array;
+  mutable n_values : int array;
+  mutable decided_at : float array;
+  mutable verdict : int array;
   mutable clock : float;
   mutable timeouts : int;
   (* Telemetry: per-primitive-label makespan histograms and timeout
@@ -31,6 +55,16 @@ let create ?(patience = 8.0) ~rng ~delay cfg =
     delay;
     rng;
     patience;
+    net = Anet.create ~ledger:(Config.ledger cfg) ~rng ~delay ();
+    pos = Hashtbl.create 64;
+    escrow_at = [||];
+    reveal_at = [||];
+    voted = [||];
+    values = [||];
+    counts = [||];
+    n_values = [||];
+    decided_at = [||];
+    verdict = [||];
     clock = 0.0;
     timeouts = 0;
     lat = Hashtbl.create 8;
@@ -69,11 +103,24 @@ let account t ~label ~makespan ~timed_out =
     Hashtbl.replace t.lat_timeouts label (c + 1)
   end
 
-(* Fold a finished sub-session kernel's queue peaks into the session. *)
-let absorb_net t net =
-  if Anet.queue_peak net > t.queue_peak then t.queue_peak <- Anet.queue_peak net;
-  if Anet.inflight_peak net > t.inflight_peak then
-    t.inflight_peak <- Anet.inflight_peak net
+(* Start a sub-session on the session's kernel, with [members] as its
+   indexed senders. *)
+let start t members =
+  Anet.reset t.net;
+  Hashtbl.clear t.pos;
+  List.iteri (fun i id -> Hashtbl.replace t.pos id i) members;
+  t.net
+
+(* Fold a finished sub-session's kernel queue peaks into the session. *)
+let absorb_net t =
+  if Anet.queue_peak t.net > t.queue_peak then t.queue_peak <- Anet.queue_peak t.net;
+  if Anet.inflight_peak t.net > t.inflight_peak then
+    t.inflight_peak <- Anet.inflight_peak t.net
+
+(* [a] if it holds [len] cells, else a larger array: tallies grow to the
+   largest sub-session seen and are then reused. *)
+let fit a len fill =
+  if Array.length a >= len then a else Array.make (max len (2 * Array.length a)) fill
 
 let latency_labels t =
   Hashtbl.fold (fun l _ acc -> l :: acc) t.lat [] |> List.sort compare
@@ -115,29 +162,65 @@ let deviation_point strategy ~src ~dst =
    order, so verdicts coincide with the synchronous session's — the
    cross-validation test pins this).  Latency can only delay or suppress
    votes, never add them, so skew degrades liveness (no verdict by the
-   deadline), never safety. *)
+   deadline), never safety.
+
+   Each honest destination tallies first votes as they arrive and stops
+   at the first value to clear a strict majority: one vote per member
+   means no other value can clear it later, so that value is the verdict
+   [Valchan.validate] would give over the full on-time inbox, and its
+   arrival is the destination's decision time. *)
+let vote t ~n ~threshold ~d ~src value =
+  if t.decided_at.(d) = infinity then
+    match Hashtbl.find t.pos src with
+    | exception Not_found -> ()
+    | s ->
+      let base = d * n in
+      if not t.voted.(base + s) then begin
+        t.voted.(base + s) <- true;
+        let m = t.n_values.(d) in
+        let k = ref 0 in
+        while !k < m && t.values.(base + !k) <> value do
+          incr k
+        done;
+        if !k = m then begin
+          t.values.(base + m) <- value;
+          t.counts.(base + m) <- 0;
+          t.n_values.(d) <- m + 1
+        end;
+        let c = t.counts.(base + !k) + 1 in
+        t.counts.(base + !k) <- c;
+        if c > threshold then begin
+          t.decided_at.(d) <- Anet.now t.net;
+          t.verdict.(d) <- value
+        end
+      end
+
 let valchan_session t ~src_cluster ~dst_cluster ~label ~payload =
   let cfg = t.cfg in
   let src_members = Config.members cfg src_cluster in
   let dst_members = Config.members cfg dst_cluster in
+  let n = List.length src_members and n_dst = List.length dst_members in
+  let threshold = n / 2 in
   let deadline = timeout t in
-  let net = Anet.create ~ledger:(Config.ledger cfg) ~rng:t.rng ~delay:t.delay () in
+  let net = start t src_members in
+  t.voted <- fit t.voted (n_dst * n) false;
+  t.values <- fit t.values (n_dst * n) 0;
+  t.counts <- fit t.counts (n_dst * n) 0;
+  t.n_values <- fit t.n_values n_dst 0;
+  t.decided_at <- fit t.decided_at n_dst infinity;
+  t.verdict <- fit t.verdict n_dst 0;
+  Array.fill t.voted 0 (n_dst * n) false;
+  Array.fill t.n_values 0 n_dst 0;
+  Array.fill t.decided_at 0 n_dst infinity;
   let split_at = Valchan.split_point dst_members in
-  let arrivals : (int, (float * int * int) list ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun id ->
-      if Config.is_byzantine cfg id then
-        Anet.add_node net ~id (fun ~now:_ ~src:_ _ -> ())
-      else begin
-        let cell = ref [] in
-        Hashtbl.replace arrivals id cell;
-        Anet.add_node net ~id (fun ~now ~src msg -> cell := (now, src, msg) :: !cell)
-      end)
+  List.iteri
+    (fun d id ->
+      if Config.is_byzantine cfg id then Anet.add_node net ~id (fun ~src:_ _ -> ())
+      else Anet.add_node net ~id (fun ~src value -> vote t ~n ~threshold ~d ~src value))
     dst_members;
   List.iter
     (fun id ->
-      if not (Anet.is_alive net id) then
-        Anet.add_node net ~id (fun ~now:_ ~src:_ _ -> ()))
+      if not (Anet.is_alive net id) then Anet.add_node net ~id (fun ~src:_ _ -> ()))
     src_members;
   (* Same (source member, destination member) send order as the
      synchronous session, so Byzantine behaviour streams draw
@@ -162,50 +245,23 @@ let valchan_session t ~src_cluster ~dst_cluster ~label ~payload =
           dst_members)
     src_members;
   Anet.run ~until:deadline net;
-  let threshold = List.length src_members / 2 in
-  (* Per destination: verdict over the on-time inbox, plus the time the
-     majority was first reached (the deadline when it never was). *)
-  let decide id =
-    let arr = List.rev !(Hashtbl.find arrivals id) in
-    let inbox = List.map (fun (_, sender, v) -> (sender, v)) arr in
-    let verdict = Valchan.validate ~members:src_members ~inbox in
-    let voted : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-    let counts : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    let decided_at = ref None in
-    List.iter
-      (fun (time, sender, v) ->
-        if
-          !decided_at = None
-          && List.mem sender src_members
-          && not (Hashtbl.mem voted sender)
-        then begin
-          Hashtbl.replace voted sender ();
-          let c =
-            (match Hashtbl.find_opt counts v with Some c -> c | None -> 0) + 1
-          in
-          Hashtbl.replace counts v c;
-          if c > threshold then decided_at := Some time
-        end)
-      arr;
-    (verdict, !decided_at)
-  in
-  let decided =
-    List.filter_map
-      (fun id ->
-        if Config.is_byzantine cfg id then None else Some (id, decide id))
-      dst_members
-  in
-  let timed_out = List.exists (fun (_, (_, at)) -> at = None) decided in
-  let makespan =
-    List.fold_left
-      (fun acc (_, (_, at)) ->
-        Float.max acc (match at with Some w -> w | None -> deadline))
-      0.0 decided
-  in
-  let result = Valchan.summarise (List.map (fun (id, (v, _)) -> (id, v)) decided) in
-  absorb_net t net;
-  account t ~label ~makespan ~timed_out;
-  (result, makespan)
+  (* Per honest destination: its verdict, and the time it reached a
+     majority (the deadline when it never did). *)
+  let timed_out = ref false and makespan = ref 0.0 and verdicts = ref [] in
+  List.iteri
+    (fun d id ->
+      if not (Config.is_byzantine cfg id) then begin
+        let at = t.decided_at.(d) in
+        let decided = at < infinity in
+        if not decided then timed_out := true;
+        makespan := Float.max !makespan (if decided then at else deadline);
+        verdicts := (id, if decided then Some t.verdict.(d) else None) :: !verdicts
+      end)
+    dst_members;
+  let result = Valchan.summarise (List.rev !verdicts) in
+  absorb_net t;
+  account t ~label ~makespan:!makespan ~timed_out:!timed_out;
+  (result, !makespan)
 
 let transmit t ~src_cluster ~dst_cluster ?(label = "valchan") ~payload () =
   let ledger = Config.ledger t.cfg in
@@ -215,8 +271,6 @@ let transmit t ~src_cluster ~dst_cluster ?(label = "valchan") ~payload () =
     (fun () -> valchan_session t ~src_cluster ~dst_cluster ~label ~payload)
 
 (* randNum ---------------------------------------------------------- *)
-
-type phase = Escrow | Reveal
 
 (* The asynchronous commit/reveal coin.  Escrow shares leave at time 0;
    the reveal phase is cut by a timeout at half the session deadline (the
@@ -234,14 +288,17 @@ let randnum_session t ~cluster ~range =
   let secure = 3 * List.length byz_members < 2 * n in
   let deadline = timeout t in
   let boundary = 0.5 *. deadline in
-  let net = Anet.create ~ledger:(Config.ledger cfg) ~rng:t.rng ~delay:t.delay () in
-  let escrow_at : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
-  let reveal_at : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
+  let net = start t members in
+  t.escrow_at <- fit t.escrow_at (n * n) infinity;
+  t.reveal_at <- fit t.reveal_at (n * n) infinity;
+  let escrow_at = t.escrow_at and reveal_at = t.reveal_at in
+  Array.fill escrow_at 0 (n * n) infinity;
+  Array.fill reveal_at 0 (n * n) infinity;
   (* Contributions are drawn in member order, exactly like the synchronous
      session — same Config/behaviour stream consumption. *)
-  let contributions : (int * int) list ref = ref [] in
-  List.iter
-    (fun id ->
+  let contributions : (int * int * int) list ref = ref [] in
+  List.iteri
+    (fun j id ->
       let contribution =
         match Config.byzantine cfg id with
         | None -> Some (Rng.int (Config.rng cfg) 1_073_741_823)
@@ -257,41 +314,37 @@ let randnum_session t ~cluster ~range =
              | (B.Drop_walk _ | B.Misroute_walk _ | B.Lie_views _), Some _ -> ());
           c
       in
-      (match contribution with
-      | Some c -> contributions := (id, c) :: !contributions
-      | None -> ());
-      Anet.add_node net ~id (fun ~now ~src msg ->
-          let tbl = match msg with Escrow -> escrow_at | Reveal -> reveal_at in
-          if not (Hashtbl.mem tbl (src, id)) then Hashtbl.replace tbl (src, id) now);
-      if contribution <> None then begin
-        let others = List.filter (fun m -> m <> id) members in
-        Anet.multicast net ~src:id ~dsts:others ~label:"randnum" Escrow;
-        Anet.at net ~time:boundary (fun ~now:_ ->
-            if Anet.is_alive net id then
-              Anet.multicast net ~src:id ~dsts:others ~label:"randnum" Reveal)
-      end)
+      Anet.add_node net ~id (fun ~src phase ->
+          match Hashtbl.find t.pos src with
+          | exception Not_found -> ()
+          | i ->
+            let tbl = if phase = escrow then escrow_at else reveal_at in
+            let k = (i * n) + j in
+            if tbl.(k) = infinity then tbl.(k) <- Anet.now net);
+      match contribution with
+      | None -> ()
+      | Some c ->
+        contributions := (j, id, c) :: !contributions;
+        Anet.multicast net ~src:id ~dsts:members ~except:id ~label:"randnum" escrow;
+        Anet.at net ~time:boundary (fun () ->
+            Anet.multicast net ~src:id ~dsts:members ~except:id ~label:"randnum" reveal))
     members;
   Anet.run ~until:deadline net;
   (* A share is reconstructible iff a strict majority of the members holds
      both halves on time (the contributor itself counts for its own
-     share). *)
-  let on_time tbl ~contributor ~limit =
-    1
-    + List.length
-        (List.filter
-           (fun m ->
-             m <> contributor
-             &&
-             match Hashtbl.find_opt tbl (contributor, m) with
-             | Some at -> at <= limit
-             | None -> false)
-           members)
+     share: it never sends to itself, so its own cell stays [infinity]). *)
+  let on_time (tbl : float array) ~contributor ~(limit : float) =
+    let held = ref 1 in
+    for k = contributor * n to ((contributor + 1) * n) - 1 do
+      if tbl.(k) <= limit then incr held
+    done;
+    !held
   in
   let included =
     List.filter
-      (fun (c, _) ->
-        2 * on_time escrow_at ~contributor:c ~limit:boundary > n
-        && 2 * on_time reveal_at ~contributor:c ~limit:deadline > n)
+      (fun (i, _, _) ->
+        2 * on_time escrow_at ~contributor:i ~limit:boundary > n
+        && 2 * on_time reveal_at ~contributor:i ~limit:deadline > n)
       (List.rev !contributions)
   in
   let participants = List.length included in
@@ -300,26 +353,27 @@ let randnum_session t ~cluster ~range =
     Trace.point
       ~attrs:[ ("have", participants); ("need", (2 * n / 3) + 1) ]
       Trace.Msg "randnum.stall";
-  let makespan =
-    if stalled then deadline
-    else
-      List.fold_left
-        (fun acc (c, _) ->
-          List.fold_left
-            (fun acc m ->
-              match Hashtbl.find_opt reveal_at (c, m) with
-              | Some at when at <= deadline -> Float.max acc at
-              | _ -> acc)
-            acc members)
-        0.0 included
+  (* The last on-time reveal of an included contribution (arrival times
+     are never negative or NaN, so [>] is [Float.max]). *)
+  let last_reveal acc (i, _, _) =
+    let last = ref acc in
+    for k = i * n to ((i + 1) * n) - 1 do
+      let at = reveal_at.(k) in
+      if at <= deadline && at > !last then last := at
+    done;
+    !last
   in
-  absorb_net t net;
+  let makespan =
+    if stalled then deadline else List.fold_left last_reveal 0.0 included
+  in
+  absorb_net t;
   account t ~label:"randnum" ~makespan ~timed_out:stalled;
   let outcome =
     if not secure then { Randnum.value = 0; secure; stalled; participants }
     else begin
       let sorted =
-        List.sort (fun (a, _) (b, _) -> compare a b) included |> List.map snd
+        List.sort (fun (_, a, _) (_, b, _) -> compare a b) included
+        |> List.map (fun (_, _, c) -> c)
       in
       { Randnum.value = Randnum.mix sorted ~range; secure; stalled; participants }
     end

@@ -2,11 +2,14 @@
 
     A session wraps a {!Cluster.Config} with a {!Delay} model, a delay
     RNG stream and a patience bound, and re-runs each primitive as a real
-    discrete-event exchange on a private {!Anet} (sharing the
+    discrete-event exchange on the session's own {!Anet} (sharing the
     configuration's ledger, trace points and Byzantine behaviour
-    dispatch).  Each primitive returns its usual result {e plus} its
-    makespan — the virtual time the session took — and the session
-    accumulates makespans into a running {!clock}.
+    dispatch).  The session owns one kernel and resets it for every
+    sub-session; its per-sub-session tallies live in position-indexed
+    arrays it reuses, so a session must not be shared between domains.
+    Each primitive returns its usual result {e plus} its makespan — the
+    virtual time the session took — and the session accumulates makespans
+    into a running {!clock}.
 
     Timeout discipline: every sub-session has a deadline of
     [patience * Delay.mean delay] virtual time units; randNum

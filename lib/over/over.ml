@@ -36,16 +36,20 @@ let max_degree_cap t = 2 * target_degree_now t
 
 (* Draw edges from [v] to vertices returned by [pick] until [v] has [want]
    edges or the attempt budget is exhausted (the budget guards against a
-   sampler that keeps returning v itself, e.g. in a 2-vertex overlay). *)
+   sampler that keeps returning v itself, e.g. in a 2-vertex overlay).
+   Returns the new neighbours in the order they were connected. *)
 let fill_edges t v ~want ~pick =
-  let budget = ref (20 * (want + 1)) in
+  let budget = ref (20 * (want + 1)) and added = ref [] in
   while Graph.degree t.g v < want && !budget > 0 do
     decr budget;
     let u = pick () in
     if u <> v && Graph.has_vertex t.g u then
-      if Graph.add_edge t.g v u then
+      if Graph.add_edge t.g v u then begin
+        added := u :: !added;
         Trace.point ~attrs:[ ("dst", u); ("src", v) ] Trace.State "over.edge_add"
-  done
+      end
+  done;
+  List.rev !added
 
 (* Shed uniformly random excess edges of an over-full vertex. *)
 let shed_excess t v =
@@ -59,9 +63,12 @@ let shed_excess t v =
           "over.edge_remove"
   done
 
-let refill t v ~pick =
+(* Top [v] up to the current target; returns its new neighbours. *)
+let refill_edges t v ~pick =
   let want = min (target_degree_now t) (n_vertices t - 1) in
-  if Graph.degree t.g v < want then fill_edges t v ~want ~pick
+  if Graph.degree t.g v < want then fill_edges t v ~want ~pick else []
+
+let refill t v ~pick = ignore (refill_edges t v ~pick)
 
 let add_vertex t v ~pick =
   if Graph.has_vertex t.g v then invalid_arg "Over.add_vertex: vertex already present";
@@ -71,7 +78,7 @@ let add_vertex t v ~pick =
     (fun () ->
       Graph.add_vertex t.g v;
       let want = min (target_degree_now t) (n_vertices t - 1) in
-      fill_edges t v ~want ~pick;
+      ignore (fill_edges t v ~want ~pick);
       (* Receiving clusters may now exceed the cap. *)
       Graph.iter_neighbors t.g v (fun u -> shed_excess t u))
 
@@ -87,7 +94,8 @@ let remove_vertex t v ~pick =
         List.iter
           (fun u ->
             if Graph.has_vertex t.g u && Graph.degree t.g u < low then
-              refill t u ~pick)
+              (* The refill's new endpoints may now exceed the cap. *)
+              List.iter (shed_excess t) (refill_edges t u ~pick))
           neighbors)
 
 let init_erdos_renyi t ~vertices =

@@ -63,8 +63,9 @@ val add_vertex : t -> int -> pick:(unit -> int) -> unit
     drawn from [pick].  Raises [Invalid_argument] if the id is present. *)
 
 val remove_vertex : t -> int -> pick:(unit -> int) -> unit
-(** Delete a vertex; neighbours left under-full re-fill via [pick].
-    No-op if absent. *)
+(** Delete a vertex; neighbours left under-full re-fill via [pick], and
+    the vertices a refill connects to shed any excess over the degree
+    cap, as {!add_vertex}'s receiving vertices do.  No-op if absent. *)
 
 val refill : t -> int -> pick:(unit -> int) -> unit
 (** Bring one vertex's degree up to the current target using [pick]. *)

@@ -1,57 +1,65 @@
 (* SplitMix64.  Reference: Steele, Lea & Flood, "Fast splittable
-   pseudorandom number generators", OOPSLA 2014. *)
+   pseudorandom number generators", OOPSLA 2014.
 
-type t = { mutable state : int64 }
+   The 64-bit state lives in an 8-byte buffer rather than a boxed
+   [int64] field: [Bytes.get/set_int64_le] read and write it unboxed, so
+   with the mixer inlined a draw allocates nothing. *)
+
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = seed }
+let restore state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 state;
+  t
+
+let create = restore
 
 let of_int seed = create (Int64.of_int seed)
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] bits64 t =
+  let state = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 state;
+  mix64 state
 
-let save t = t.state
-
-let restore state = { state }
+let save t = Bytes.get_int64_le t 0
 
 let split t =
   let seed = bits64 t in
   (* A second mixing constant decorrelates the child stream from the
      parent's continuation. *)
-  { state = Int64.mul (mix64 seed) 0xD1B54A32D192ED03L }
+  restore (Int64.mul (mix64 seed) 0xD1B54A32D192ED03L)
 
-(* Uniform int in [0, bound) without modulo bias: draw 63-bit non-negative
+(* Uniform int in [0, bound) without modulo bias: draw 62-bit non-negative
    values and reject the overhang. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let mask = 0x3FFFFFFFFFFFFFFF (* 62 bits, always non-negative as an int *) in
   let lim = mask - (mask mod bound) in
-  let rec draw () =
-    let v = Int64.to_int (bits64 t) land mask in
-    if v >= lim then draw () else v mod bound
-  in
-  draw ()
+  let v = ref (Int64.to_int (bits64 t) land mask) in
+  while !v >= lim do
+    v := Int64.to_int (bits64 t) land mask
+  done;
+  !v mod bound
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
 (* 53-bit mantissa gives a uniform float in [0,1). *)
-let unit_float t =
+let[@inline] unit_float t =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   float_of_int v *. 0x1p-53
 
-let float t bound = unit_float t *. bound
+let[@inline] float t bound = unit_float t *. bound
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 

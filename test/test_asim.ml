@@ -21,6 +21,17 @@ let checks = Alcotest.check Alcotest.string
 
 (* ---------- event-queue properties ---------- *)
 
+(* Drain a queue into its (time, payload) pop sequence. *)
+let drain q =
+  let rec go acc =
+    if Queue.is_empty q then List.rev acc
+    else begin
+      let time = Queue.next_time q in
+      go ((time, Queue.pop q) :: acc)
+    end
+  in
+  go []
+
 (* Pops come out sorted by time, FIFO among equal times, and nothing is
    lost or duplicated.  Times are drawn from a small integer range so
    ties actually occur. *)
@@ -29,16 +40,11 @@ let prop_queue_stable_order =
     ~count:200
     QCheck.(list_of_size (QCheck.Gen.int_range 0 60) (int_range 0 5))
     (fun times ->
-      let q = Queue.create () in
+      let q = Queue.create ~dummy:(-1, -1) in
       List.iteri
         (fun i t -> Queue.push q ~time:(float_of_int t) (i, t))
         times;
-      let rec drain acc =
-        match Queue.pop q with
-        | None -> List.rev acc
-        | Some (time, payload) -> drain ((time, payload) :: acc)
-      in
-      let out = drain [] in
+      let out = drain q in
       let sorted_times = List.sort compare (List.map fst out) in
       List.length out = List.length times
       (* no loss, no duplication: payload indices are exactly 0..n-1 *)
@@ -60,41 +66,66 @@ let prop_queue_interleaved =
   QCheck.Test.make ~name:"event queue survives interleaved push/pop" ~count:200
     QCheck.(list_of_size (QCheck.Gen.int_range 0 60) (pair bool (int_range 0 9)))
     (fun ops ->
-      let q = Queue.create () in
+      let q = Queue.create ~dummy:() in
       let pushed = ref 0 and popped = ref 0 and last = ref neg_infinity in
       let ok = ref true in
+      let pop () =
+        let time = Queue.next_time q in
+        Queue.pop q;
+        incr popped;
+        (* a pop can never go below an earlier pop once the queue only
+           ever received times >= that pop *)
+        if time < !last then ok := false;
+        last := time
+      in
       List.iter
         (fun (is_pop, t) ->
-          if is_pop then (
-            match Queue.pop q with
-            | None -> ()
-            | Some (time, ()) ->
-              incr popped;
-              (* a pop can never go below an earlier pop once the queue
-                 only ever received times >= that pop *)
-              if time < !last then ok := false;
-              last := time
-          )
+          if is_pop then (if not (Queue.is_empty q) then pop ())
           else begin
             let time = Float.max !last (float_of_int t) in
             Queue.push q ~time ();
             incr pushed
           end)
         ops;
-      let rec drain () =
-        match Queue.pop q with
-        | None -> ()
-        | Some (time, ()) ->
-          incr popped;
-          if time < !last then ok := false;
-          last := time;
-          drain ()
-      in
-      drain ();
+      while not (Queue.is_empty q) do
+        pop ()
+      done;
       !ok && !pushed = !popped && Queue.is_empty q)
 
+(* The kernel reuses one queue per session: after any push/pop history, a
+   cleared queue pops exactly what a fresh queue pops for the same
+   pushes — same times, same FIFO tie order, same payloads. *)
+let prop_queue_clear_reuse =
+  QCheck.Test.make ~name:"cleared event queue pops like a fresh one" ~count:200
+    QCheck.(
+      triple
+        (list_of_size (QCheck.Gen.int_range 0 60) (int_range 0 5))
+        (int_range 0 60)
+        (list_of_size (QCheck.Gen.int_range 0 60) (int_range 0 5)))
+    (fun (before, n_pops, after) ->
+      let reused = Queue.create ~dummy:(-1) in
+      List.iteri (fun i t -> Queue.push reused ~time:(float_of_int t) i) before;
+      for _ = 1 to min n_pops (Queue.length reused) do
+        ignore (Queue.pop reused)
+      done;
+      Queue.clear reused;
+      let fresh = Queue.create ~dummy:(-1) in
+      List.iteri
+        (fun i t ->
+          Queue.push reused ~time:(float_of_int t) i;
+          Queue.push fresh ~time:(float_of_int t) i)
+        after;
+      Queue.pushed reused = Queue.pushed fresh && drain reused = drain fresh)
+
+let test_queue_empty_access () =
+  let q = Queue.create ~dummy:() in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  checkb "pop on empty raises" true (raises (fun () -> Queue.pop q));
+  checkb "next_time on empty raises" true
+    (raises (fun () -> ignore (Queue.next_time q)))
+
 let test_queue_rejects_nan () =
-  let q = Queue.create () in
+  let q = Queue.create ~dummy:() in
   checkb "NaN time raises" true
     (match Queue.push q ~time:Float.nan () with
     | () -> false
@@ -267,10 +298,52 @@ let test_engine_of_name_async () =
     | Error _ -> true
     | Ok () -> false)
 
+(* ---------- golden async run ----------
+
+   The digest stream and stat lines of a short async run under a non-zero
+   (straggler) delay model, recorded before the kernel moved onto a
+   reused array heap and dense session tallies, and committed under
+   test/golden.  The zero-delay tests above cover delay 0 only; this pins
+   the delay draws, deadlines, stalls and verdicts of the latency path
+   across commits.  On a mismatch, [now_sim bisect --file-a/--file-b]
+   against the golden file names the first divergent step. *)
+
+let golden_spec =
+  {
+    Scenario.steady with
+    Scenario.Spec.delay = Some "straggler:every=4,factor=8";
+    behavior = Some "equivocate";
+  }
+
+let golden_summaries =
+  [
+    "async:steady n=96 #C=6 joins=12 leaves=12 splits=0 merges=0 churn-fail=0 \
+     min-honest=0.688 viol=0 msgs=8406155 vt=1662.810 timeouts=59 lat_p99=8.000";
+    "async:steady n=96 #C=6 joins=12 leaves=12 splits=0 merges=0 churn-fail=0 \
+     min-honest=0.688 viol=0 msgs=7486674 vt=1289.270 timeouts=18 lat_p99=8.000";
+  ]
+
+let test_async_golden () =
+  let r = Audit.create () in
+  let cells =
+    Audit.with_recorder r (fun () ->
+        Scenario.cells ~jobs:1 ~engine:`Async ~seed:5 ~cells:2 golden_spec)
+  in
+  let golden =
+    In_channel.with_open_bin "golden/async_straggler_steady.jsonl" In_channel.input_all
+  in
+  checks "digest stream = golden" golden (Audit.Export.jsonl_string r);
+  Alcotest.(check (list string))
+    "stat lines = golden" golden_summaries
+    (List.map (fun (label, s) -> label ^ " " ^ Scenario.Stats.summary s) cells)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_queue_stable_order;
     QCheck_alcotest.to_alcotest prop_queue_interleaved;
+    QCheck_alcotest.to_alcotest prop_queue_clear_reuse;
+    Alcotest.test_case "event queue refuses empty access" `Quick
+      test_queue_empty_access;
     Alcotest.test_case "event queue rejects NaN times" `Quick
       test_queue_rejects_nan;
     Alcotest.test_case "delay catalogue round-trips through of_name" `Quick
@@ -288,4 +361,6 @@ let suite =
       test_async_recording_zero_perturbation;
     Alcotest.test_case "engine catalogue includes async" `Quick
       test_engine_of_name_async;
+    Alcotest.test_case "straggler-delay async run matches the golden stream" `Quick
+      test_async_golden;
   ]

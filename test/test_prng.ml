@@ -269,6 +269,60 @@ let prop_geometric_nonneg =
       let rng = Rng.of_int seed in
       Rng.geometric rng p >= 0)
 
+(* ---------- known-answer values ----------
+
+   The tests above only compare runs of the same code.  These pin the
+   streams themselves, so a change to the generator's representation
+   cannot silently move every seeded table: Vigna's SplitMix64 reference
+   outputs for seed 0, then split and bounded-draw values recorded from
+   the boxed-[int64] implementation this one replaced. *)
+
+let hex64 = Alcotest.testable (fun ppf v -> Format.fprintf ppf "%016Lx" v) Int64.equal
+
+let test_known_answers_reference () =
+  let r = Rng.create 0L in
+  List.iter
+    (fun want -> Alcotest.check hex64 "SplitMix64 seed 0" want (Rng.bits64 r))
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL ]
+
+let test_known_answers_split () =
+  let parent = Rng.create 42L in
+  let child = Rng.split parent in
+  Alcotest.check hex64 "child's first output" 0xcc6927585db3db96L (Rng.bits64 child);
+  Alcotest.check hex64 "parent state after split" 0x9e3779b97f4a7c3fL (Rng.save parent);
+  let root = Rng.of_int 5 in
+  let c = Rng.split root in
+  let grandchild = Rng.split c in
+  Alcotest.check hex64 "grandchild's first output" 0x2d87928d6be1cc7bL
+    (Rng.bits64 grandchild);
+  Alcotest.check hex64 "child state after split" 0x9ca640f241d57783L (Rng.save c);
+  Alcotest.check hex64 "root state after split" 0x9e3779b97f4a7c1aL (Rng.save root)
+
+let test_known_answers_draws () =
+  let r = Rng.of_int 2024 in
+  Alcotest.(check (list int))
+    "int 1000" [ 653; 442; 567; 425; 466 ]
+    (List.init 5 (fun _ -> Rng.int r 1000));
+  (* A bound just above 2^61 rejects about half of all raw draws. *)
+  let r = Rng.of_int 11 in
+  Alcotest.(check (list int))
+    "int near 2^61, rejection path"
+    [ 1221993362530250909; 228096790202356641; 85113852893490672 ]
+    (List.init 3 (fun _ -> Rng.int r ((1 lsl 61) + 12345)));
+  let r = Rng.of_int 7 in
+  Alcotest.(check (list int64))
+    "unit floats, bit for bit"
+    [ 4600694168356277378L; 4580496117855220096L; 4606288550476338725L;
+      4603425788846204869L ]
+    (List.init 4 (fun _ -> Int64.bits_of_float (Rng.float r 1.0)));
+  let r = Rng.of_int 3 in
+  let f = Rng.float r 8.0 in
+  let e = Rng.exponential r 0.5 in
+  Alcotest.(check (pair int64 int64))
+    "float and exponential, bit for bit"
+    (Int64.bits_of_float 0x1.d0b14e4db0188p-1, Int64.bits_of_float 0x1.3477b64d182cfp+1)
+    (Int64.bits_of_float f, Int64.bits_of_float e)
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -300,6 +354,10 @@ let suite =
     Alcotest.test_case "sample_distinct invalid" `Quick test_sample_distinct_invalid;
     Alcotest.test_case "save/restore" `Quick test_save_restore;
     Alcotest.test_case "pick membership" `Quick test_pick;
+    Alcotest.test_case "known answers: SplitMix64 reference" `Quick
+      test_known_answers_reference;
+    Alcotest.test_case "known answers: split" `Quick test_known_answers_split;
+    Alcotest.test_case "known answers: bounded draws" `Quick test_known_answers_draws;
     QCheck_alcotest.to_alcotest prop_int_in_bounds;
     QCheck_alcotest.to_alcotest prop_shuffle_multiset;
     QCheck_alcotest.to_alcotest prop_binomial_range;

@@ -9,31 +9,50 @@ module Rng = Prng.Rng
 
 (* ---------- OVER under random operation sequences ---------- *)
 
+(* Grow ([true]) or remove ([false]) vertices of a seeded overlay
+   (target degree 4, so the Property 2 cap is 8) and return the final
+   graph. *)
+let over_after_ops seed ops =
+  let rng = Rng.of_int seed in
+  let target d ~n_vertices = min (n_vertices - 1) d in
+  let over = Over.create ~rng:(Rng.split rng) ~target_degree:(target 4) in
+  Over.init_erdos_renyi over ~vertices:[ 0; 1; 2; 3; 4; 5; 6; 7 ];
+  let next = ref 100 in
+  let pick () =
+    let vs = Array.of_list (Graph.vertices (Over.graph over)) in
+    vs.(Rng.int rng (Array.length vs))
+  in
+  List.iter
+    (fun grow ->
+      if grow && Over.n_vertices over < 40 then begin
+        incr next;
+        Over.add_vertex over !next ~pick
+      end
+      else if Over.n_vertices over > 3 then
+        Over.remove_vertex over (pick ()) ~pick)
+    ops;
+  Over.graph over
+
 let prop_over_degree_cap =
   QCheck.Test.make ~name:"OVER: degree cap holds under any op sequence" ~count:40
     QCheck.(pair small_int (list_of_size (QCheck.Gen.int_range 1 60) bool))
     (fun (seed, ops) ->
-      let rng = Rng.of_int seed in
-      let target d ~n_vertices = min (n_vertices - 1) d in
-      let over = Over.create ~rng:(Rng.split rng) ~target_degree:(target 4) in
-      Over.init_erdos_renyi over ~vertices:[ 0; 1; 2; 3; 4; 5; 6; 7 ];
-      let next = ref 100 in
-      let pick () =
-        let vs = Array.of_list (Graph.vertices (Over.graph over)) in
-        vs.(Rng.int rng (Array.length vs))
-      in
-      List.iter
-        (fun grow ->
-          if grow && Over.n_vertices over < 40 then begin
-            incr next;
-            Over.add_vertex over !next ~pick
-          end
-          else if Over.n_vertices over > 3 then
-            Over.remove_vertex over (pick ()) ~pick)
-        ops;
-      let g = Over.graph over in
+      let g = over_after_ops seed ops in
       Graph.max_degree g <= 2 * 4
       && List.for_all (fun (u, v) -> u <> v) (Graph.edges g))
+
+(* A sequence the property once drew: a removal refilled an under-full
+   neighbour with an edge to a vertex already at the cap, which ended at
+   degree 9.  Removals must shed the refill's new endpoints, as additions
+   do. *)
+let test_over_cap_after_removal_refill () =
+  let ops = String.to_seq "+--++-+++-+++--+--+++-+-++--" |> Seq.map (( = ) '+') in
+  let ops = List.of_seq ops in
+  let g = over_after_ops 47 ops in
+  Alcotest.(check bool)
+    (Printf.sprintf "max degree %d within the cap 8" (Graph.max_degree g))
+    true
+    (Graph.max_degree g <= 2 * 4)
 
 (* ---------- biased walks ---------- *)
 
@@ -238,6 +257,8 @@ let prop_health_cache_matches_recompute =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_over_degree_cap;
+    Alcotest.test_case "OVER: cap holds after a removal's refill (seed 47)" `Quick
+      test_over_cap_after_removal_refill;
     QCheck_alcotest.to_alcotest prop_biased_walk_avoids_zero_weight;
     QCheck_alcotest.to_alcotest prop_validate_majority_only;
     QCheck_alcotest.to_alcotest prop_mix_in_range;
