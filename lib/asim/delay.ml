@@ -77,9 +77,12 @@ let parse_params s =
            | Some i ->
              let k = String.sub kv 0 i in
              let v = String.sub kv (i + 1) (String.length kv - i - 1) in
+             (* Infinite or NaN parameters would parse here and only fail
+                (or sample nonsense) once the model draws a delay. *)
              (match float_of_string_opt v with
-             | None -> Error (Printf.sprintf "delay parameter %s: bad number %S" k v)
-             | Some f -> Ok ((k, f) :: params))))
+             | Some f when Float.is_finite f -> Ok ((k, f) :: params)
+             | Some _ | None ->
+               Error (Printf.sprintf "delay parameter %s: bad number %S" k v))))
        (Ok [])
 
 let of_name name =
@@ -126,22 +129,27 @@ let of_name name =
         unknown_param [ "mean"; "every"; "factor" ]
       else
         let mean = get "mean" 1.0 in
-        let every = int_of_float (get "every" 3.0) in
+        let every = get "every" 3.0 in
         let factor = get "factor" 32.0 in
-        if every < 1 then Error "delay \"straggler\": every must be >= 1"
+        if every < 1.0 || not (Float.is_integer every) then
+          Error "delay \"straggler\": every must be a whole number >= 1"
         else
           positive "mean" mean
-            (positive "factor" factor (Ok (Straggler { mean; every; factor })))
+            (positive "factor" factor
+               (Ok (Straggler { mean; every = int_of_float every; factor })))
     | "partition" ->
       if not (known [ "mean"; "groups"; "penalty" ]) then
         unknown_param [ "mean"; "groups"; "penalty" ]
       else
         let mean = get "mean" 1.0 in
-        let groups = int_of_float (get "groups" 2.0) in
+        let groups = get "groups" 2.0 in
         let penalty = get "penalty" 64.0 in
-        if groups < 2 then Error "delay \"partition\": groups must be >= 2"
+        if groups < 2.0 || not (Float.is_integer groups) then
+          Error "delay \"partition\": groups must be a whole number >= 2"
         else if penalty < 0.0 then Error "delay \"partition\": penalty must be >= 0"
-        else positive "mean" mean (Ok (Partition { mean; groups; penalty }))
+        else
+          positive "mean" mean
+            (Ok (Partition { mean; groups = int_of_float groups; penalty }))
     | _ ->
       Error
         (Printf.sprintf "unknown delay model %S; available: %s" name

@@ -50,9 +50,10 @@ val of_name : string -> (t, string) result
 (** Parse a model from its name, with optional [k=v] parameters after a
     colon (e.g. ["exp:mean=2"], ["straggler:every=2,factor=32"]); unset
     parameters default to [mean=1], [every=3], [factor=32], [groups=2],
-    [penalty=64].  [Error msg] on unknown names or bad parameters; [msg]
-    lists the available set, matching the behaviour/strategy/scenario
-    convention. *)
+    [penalty=64].  [Error msg] on unknown names or bad parameters —
+    including infinite or NaN numbers and fractional [every]/[groups]
+    counts; [msg] lists the available set, matching the
+    behaviour/strategy/scenario convention.  Never raises. *)
 
 val catalogue : (string * string) list
 (** [(name, one-line description)] for every model shape, in presentation

@@ -2,10 +2,8 @@ module Config = Cluster.Config
 module Valchan = Cluster.Valchan
 module Randnum = Cluster.Randnum
 module Walk = Cluster.Walk
-module B = Agreement.Byz_behavior
+module Exchange = Cluster.Exchange
 module Rng = Prng.Rng
-module Ledger = Metrics.Ledger
-module Graph = Dsgraph.Graph
 
 (* randNum's two phases, int-coded so both primitives share one kernel. *)
 let escrow = 0
@@ -73,9 +71,6 @@ let create ?(patience = 8.0) ~rng ~delay cfg =
     inflight_peak = 0;
   }
 
-let config t = t.cfg
-let delay t = t.delay
-let patience t = t.patience
 let clock t = t.clock
 let timeouts t = t.timeouts
 let rng_cursor t = Rng.save t.rng
@@ -146,13 +141,6 @@ let inflight_peak t = t.inflight_peak
 
 let span_time t = int_of_float t.clock
 
-let deviation_point strategy ~src ~dst =
-  if Trace.active () then
-    Trace.point
-      ~attrs:[ ("dst", dst); ("src", src) ]
-      Trace.Msg
-      ("byz." ^ B.deviation strategy)
-
 (* valChan ---------------------------------------------------------- *)
 
 (* The asynchronous validated channel: every source member's copies leave
@@ -212,7 +200,6 @@ let valchan_session t ~src_cluster ~dst_cluster ~label ~payload =
   Array.fill t.voted 0 (n_dst * n) false;
   Array.fill t.n_values 0 n_dst 0;
   Array.fill t.decided_at 0 n_dst infinity;
-  let split_at = Valchan.split_point dst_members in
   List.iteri
     (fun d id ->
       if Config.is_byzantine cfg id then Anet.add_node net ~id (fun ~src:_ _ -> ())
@@ -230,19 +217,8 @@ let valchan_session t ~src_cluster ~dst_cluster ~label ~payload =
       match Config.byzantine cfg id with
       | None -> Anet.multicast net ~src:id ~dsts:dst_members ~label payload
       | Some strategy ->
-        let rng = B.rng_of strategy in
-        List.iter
-          (fun dst ->
-            match B.on_channel strategy rng ~label ~dst ~split_at ~honest:payload with
-            | B.Honest_send -> Anet.send net ~src:id ~dst ~label payload
-            | B.Forge v ->
-              deviation_point strategy ~src:id ~dst;
-              Anet.send net ~src:id ~dst ~label ~deviant:true v
-            | B.Redirect sink ->
-              deviation_point strategy ~src:id ~dst;
-              Anet.send net ~src:id ~dst:sink ~label ~deviant:true payload
-            | B.Stay_silent -> deviation_point strategy ~src:id ~dst)
-          dst_members)
+        Valchan.corrupted_sends strategy ~src:id ~dsts:dst_members ~label ~payload
+          (fun ~dst ~deviant v -> Anet.send net ~src:id ~dst ~label ~deviant v))
     src_members;
   Anet.run ~until:deadline net;
   (* Per honest destination: its verdict, and the time it reached a
@@ -284,8 +260,7 @@ let randnum_session t ~cluster ~range =
   let cfg = t.cfg in
   let members = Config.members cfg cluster in
   let n = List.length members in
-  let byz_members = List.filter (Config.is_byzantine cfg) members in
-  let secure = 3 * List.length byz_members < 2 * n in
+  let secure = Randnum.secure cfg members in
   let deadline = timeout t in
   let boundary = 0.5 *. deadline in
   let net = start t members in
@@ -296,24 +271,10 @@ let randnum_session t ~cluster ~range =
   Array.fill reveal_at 0 (n * n) infinity;
   (* Contributions are drawn in member order, exactly like the synchronous
      session — same Config/behaviour stream consumption. *)
-  let contributions : (int * int * int) list ref = ref [] in
+  let contributions : (int * int) list ref = ref [] in
   List.iteri
     (fun j id ->
-      let contribution =
-        match Config.byzantine cfg id with
-        | None -> Some (Rng.int (Config.rng cfg) 1_073_741_823)
-        | Some strategy ->
-          let c = B.share strategy (B.rng_of strategy) in
-          (if Trace.active () then
-             match (strategy, c) with
-             | _, None ->
-               Trace.point ~attrs:[ ("node", id) ] Trace.Msg "byz.randnum.withhold"
-             | ( (B.Silent | B.Fixed _ | B.Equivocate _ | B.Random_noise _ | B.Bias_share _),
-                 Some _ ) ->
-               Trace.point ~attrs:[ ("node", id) ] Trace.Msg "byz.randnum.bias"
-             | (B.Drop_walk _ | B.Misroute_walk _ | B.Lie_views _), Some _ -> ());
-          c
-      in
+      let contribution = Randnum.contribution cfg id in
       Anet.add_node net ~id (fun ~src phase ->
           match Hashtbl.find t.pos src with
           | exception Not_found -> ()
@@ -324,7 +285,7 @@ let randnum_session t ~cluster ~range =
       match contribution with
       | None -> ()
       | Some c ->
-        contributions := (j, id, c) :: !contributions;
+        contributions := (id, c) :: !contributions;
         Anet.multicast net ~src:id ~dsts:members ~except:id ~label:"randnum" escrow;
         Anet.at net ~time:boundary (fun () ->
             Anet.multicast net ~src:id ~dsts:members ~except:id ~label:"randnum" reveal))
@@ -342,20 +303,17 @@ let randnum_session t ~cluster ~range =
   in
   let included =
     List.filter
-      (fun (i, _, _) ->
+      (fun (id, _) ->
+        let i = Hashtbl.find t.pos id in
         2 * on_time escrow_at ~contributor:i ~limit:boundary > n
         && 2 * on_time reveal_at ~contributor:i ~limit:deadline > n)
-      (List.rev !contributions)
+      !contributions
   in
-  let participants = List.length included in
-  let stalled = 3 * participants < 2 * n in
-  if stalled && Trace.active () then
-    Trace.point
-      ~attrs:[ ("have", participants); ("need", (2 * n / 3) + 1) ]
-      Trace.Msg "randnum.stall";
+  let outcome = Randnum.conclude ~secure ~n ~range included in
   (* The last on-time reveal of an included contribution (arrival times
      are never negative or NaN, so [>] is [Float.max]). *)
-  let last_reveal acc (i, _, _) =
+  let last_reveal acc (id, _) =
+    let i = Hashtbl.find t.pos id in
     let last = ref acc in
     for k = i * n to ((i + 1) * n) - 1 do
       let at = reveal_at.(k) in
@@ -363,21 +321,12 @@ let randnum_session t ~cluster ~range =
     done;
     !last
   in
+  let stalled = outcome.Randnum.stalled in
   let makespan =
     if stalled then deadline else List.fold_left last_reveal 0.0 included
   in
   absorb_net t;
   account t ~label:"randnum" ~makespan ~timed_out:stalled;
-  let outcome =
-    if not secure then { Randnum.value = 0; secure; stalled; participants }
-    else begin
-      let sorted =
-        List.sort (fun (_, a, _) (_, b, _) -> compare a b) included
-        |> List.map (fun (_, _, c) -> c)
-      in
-      { Randnum.value = Randnum.mix sorted ~range; secure; stalled; participants }
-    end
-  in
   (outcome, makespan)
 
 let randnum t ~cluster ~range =
@@ -391,174 +340,27 @@ let randnum t ~cluster ~range =
     ~ledger ~time:(span_time t) Trace.Msg "randnum"
     (fun () -> randnum_session t ~cluster ~range)
 
-(* randCl ----------------------------------------------------------- *)
+(* Composites ---------------------------------------------------------- *)
 
-(* The asynchronous walk: the same biased CTRW as the synchronous
-   [Walk.rand_cl] (identical draw sequence from the configuration stream,
-   so fault-free endpoints match the synchronous engine exactly), but
-   every hop draw is an asynchronous randNum and every token forward an
-   asynchronous validated transfer — the walk's makespan is the sum of
-   its sub-sessions' makespans. *)
-let rand_cl_session t ?duration ?(max_restarts = 1000) ?(max_hop_retries = 2) ~start
-    () =
-  let cfg = t.cfg in
-  let overlay = Config.overlay cfg in
-  let duration =
-    match duration with Some d -> d | None -> Walk.default_duration cfg
-  in
-  let max_size = float_of_int (Config.max_cluster_size cfg) in
-  let elapsed = ref 0.0 in
-  let exception Invalid of int in
-  let rec hop current remaining hops restarts retries =
-    let d = Graph.degree overlay current in
-    let draw range =
-      let o, makespan = randnum t ~cluster:current ~range in
-      elapsed := !elapsed +. makespan;
-      o.Randnum.value
-    in
-    let finish () =
-      let p = float_of_int (Config.size cfg current) /. max_size in
-      let coin =
-        float_of_int (draw Walk.coin_range) /. float_of_int Walk.coin_range
-      in
-      if coin < p then
-        Ok { Walk.selected = current; hops; restarts; hop_retries = retries }
-      else if restarts >= max_restarts then Error `Too_many_restarts
-      else hop current duration hops (restarts + 1) retries
-    in
-    if d = 0 then finish ()
-    else begin
-      let r = draw (d * Walk.coin_range) in
-      let neighbor_index = r mod d in
-      let u = float_of_int (r / d) /. float_of_int Walk.coin_range in
-      let hold =
-        -.log (1.0 -. u +. (1.0 /. float_of_int Walk.coin_range)) /. float_of_int d
-      in
-      if hold >= remaining then finish ()
-      else begin
-        let next = (Graph.sorted_neighbors overlay current).(neighbor_index) in
-        let res, makespan =
-          transmit t ~src_cluster:current ~dst_cluster:next ~label:"walk.token"
-            ~payload:hops ()
-        in
-        elapsed := !elapsed +. makespan;
-        match res.Valchan.unanimous with
-        | Some _ -> hop next (remaining -. hold) (hops + 1) restarts retries
-        | None ->
-          if retries >= max_hop_retries then raise (Invalid current)
-          else begin
-            if Trace.active () then
-              Trace.point ~attrs:[ ("hop", hops); ("to", next) ] Trace.Msg
-                "walk.retry";
-            hop current remaining hops restarts (retries + 1)
-          end
-      end
-    end
-  in
-  let result =
-    match hop start duration 0 0 0 with
-    | result -> result
-    | exception Invalid c -> Error (`Validation_failed c)
-  in
-  (result, !elapsed)
+(* randCl and exchange are the synchronous engine's own code
+   ([Walk.rand_cl_on], [Exchange.exchange_*_on]) run over these leaves:
+   every draw and transfer is an asynchronous sub-session, bulk charges
+   count no rounds, and spans are stamped with the virtual clock. *)
+let leaves t =
+  {
+    Walk.randnum = (fun ~cluster ~range -> randnum t ~cluster ~range);
+    transmit =
+      (fun ~src_cluster ~dst_cluster ~label ~payload ->
+        transmit t ~src_cluster ~dst_cluster ~label ~payload ());
+    bulk_rounds = 0;
+    span_time = (fun () -> span_time t);
+  }
 
 let rand_cl t ?duration ?max_restarts ?max_hop_retries ~start () =
-  let ledger = Config.ledger t.cfg in
-  Trace.with_span
-    ~attrs:[ ("start", start) ]
-    ~ledger ~time:(span_time t) Trace.Msg "randcl"
-    (fun () -> rand_cl_session t ?duration ?max_restarts ?max_hop_retries ~start ())
-
-let pick_member t ~cluster =
-  let members = Config.members t.cfg cluster in
-  let o, _ = randnum t ~cluster ~range:(List.length members) in
-  List.nth members o.Randnum.value
-
-(* exchange --------------------------------------------------------- *)
-
-(* Composition announcements to the neighbours of [cluster]; replicates
-   the synchronous bulk charge ([Exchange.charge_view_update]) except for
-   the round: the asynchronous engine counts no rounds, latency is
-   reported through makespans instead. *)
-let view_update t cluster =
-  let cfg = t.cfg in
-  let overlay = Config.overlay cfg in
-  let size = Config.size cfg cluster in
-  let messages = ref 0 in
-  Graph.iter_neighbors overlay cluster (fun nb ->
-      messages := !messages + (size * Config.size cfg nb));
-  (if Trace.active () then
-     List.iter
-       (fun node ->
-         match Config.byzantine cfg node with
-         | Some (B.Lie_views _ as s) ->
-           Trace.point
-             ~attrs:[ ("cluster", cluster); ("node", node) ]
-             Trace.Msg
-             ("byz." ^ B.deviation s)
-         | Some _ | None -> ())
-       (Config.members cfg cluster));
-  Ledger.charge (Config.ledger cfg) ~label:"exchange.view_update"
-    ~messages:!messages ~rounds:0
-
-let exchange_node_session t ?duration ~node ~home () =
-  match rand_cl t ?duration ~start:home () with
-  | Error e, makespan -> (Error e, makespan)
-  | Ok { Walk.selected; _ }, makespan ->
-    if selected = home then (Ok home, makespan)
-    else begin
-      let res, vc_makespan =
-        transmit t ~src_cluster:home ~dst_cluster:selected
-          ~label:"exchange.announce" ~payload:node ()
-      in
-      (match res.Valchan.unanimous with Some _ -> () | None -> ());
-      let replacement = pick_member t ~cluster:selected in
-      let transfer_messages =
-        Config.size t.cfg home + Config.size t.cfg selected
-      in
-      Ledger.charge (Config.ledger t.cfg) ~label:"exchange.transfer"
-        ~messages:transfer_messages ~rounds:0;
-      Config.swap_nodes t.cfg node replacement;
-      (Ok selected, makespan +. vc_makespan)
-    end
+  Walk.rand_cl_on (leaves t) ?duration ?max_restarts ?max_hop_retries t.cfg ~start
 
 let exchange_node t ?duration ~node () =
-  let home = Config.cluster_of t.cfg node in
-  let ledger = Config.ledger t.cfg in
-  Trace.with_span
-    ~attrs:[ ("home", home); ("node", node) ]
-    ~ledger ~time:(span_time t) Trace.Msg "exchange.node"
-    (fun () -> exchange_node_session t ?duration ~node ~home ())
-
-let exchange_all_session t ?duration ~cluster () =
-  let snapshot = Config.members t.cfg cluster in
-  let makespan = ref 0.0 in
-  let rec go nodes touched =
-    match nodes with
-    | [] -> Ok touched
-    | node :: rest -> (
-      match exchange_node t ?duration ~node () with
-      | Error e, span ->
-        makespan := !makespan +. span;
-        Error e
-      | Ok dest, span ->
-        makespan := !makespan +. span;
-        let touched = if dest = cluster then touched else dest :: touched in
-        go rest touched)
-  in
-  let result =
-    match go snapshot [] with
-    | Error e -> Error e
-    | Ok touched ->
-      let touched = List.sort_uniq compare touched in
-      List.iter (view_update t) (cluster :: touched);
-      Ok touched
-  in
-  (result, !makespan)
+  Exchange.exchange_node_on (leaves t) ?duration t.cfg ~node
 
 let exchange_all t ?duration ~cluster () =
-  let ledger = Config.ledger t.cfg in
-  Trace.with_span
-    ~attrs:[ ("cluster", cluster) ]
-    ~ledger ~time:(span_time t) Trace.Msg "exchange"
-    (fun () -> exchange_all_session t ?duration ~cluster ())
+  Exchange.exchange_all_on (leaves t) ?duration t.cfg ~cluster

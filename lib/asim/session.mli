@@ -1,15 +1,19 @@
 (** The message-level primitives, run asynchronously.
 
     A session wraps a {!Cluster.Config} with a {!Delay} model, a delay
-    RNG stream and a patience bound, and re-runs each primitive as a real
-    discrete-event exchange on the session's own {!Anet} (sharing the
-    configuration's ledger, trace points and Byzantine behaviour
-    dispatch).  The session owns one kernel and resets it for every
-    sub-session; its per-sub-session tallies live in position-indexed
-    arrays it reuses, so a session must not be shared between domains.
-    Each primitive returns its usual result {e plus} its makespan — the
-    virtual time the session took — and the session accumulates makespans
-    into a running {!clock}.
+    RNG stream and a patience bound.  It owns only delivery: the two leaf
+    primitives (valChan and randNum) run as real discrete-event exchanges
+    on the session's own {!Anet}, with deadlines and first-vote tallies,
+    while every decision — each corrupted member's sends and shares, the
+    secure test, the stall rule and the mix — is {!Cluster.Valchan}'s and
+    {!Cluster.Randnum}'s own.  randCl and exchange are the synchronous
+    engine's composites run over the session's {!leaves}.  The session
+    owns one kernel and resets it for every sub-session; its
+    per-sub-session tallies live in position-indexed arrays it reuses, so
+    a session must not be shared between domains.  Each primitive returns
+    its usual result {e plus} its makespan — the virtual time the session
+    took — and the session accumulates makespans into a running
+    {!clock}.
 
     Timeout discipline: every sub-session has a deadline of
     [patience * Delay.mean delay] virtual time units; randNum
@@ -36,15 +40,6 @@ val create : ?patience:float -> rng:Prng.Rng.t -> delay:Delay.t -> Cluster.Confi
     stream); [patience] (default 8) sets each sub-session's deadline to
     [patience * Delay.mean delay].  Raises [Invalid_argument] on
     non-positive patience. *)
-
-val config : t -> Cluster.Config.t
-(** The wrapped configuration. *)
-
-val delay : t -> Delay.t
-(** The per-link delay model. *)
-
-val patience : t -> float
-(** The deadline multiplier. *)
 
 val timeout : t -> float
 (** The per-sub-session deadline, [patience * Delay.mean delay]. *)
@@ -116,26 +111,29 @@ val randnum :
     {e detected} stall ([stalled = true], the paper's < 2/3 quorum rule)
     rather than a silent bias.  Raises like {!Cluster.Randnum.run}. *)
 
+val leaves : t -> Cluster.Walk.leaves
+(** The session's leaves: {!randnum} and {!transmit}, no rounds per bulk
+    charge, spans stamped with the truncated virtual {!clock}.  Every
+    composite run over them — {!rand_cl}, {!exchange_node},
+    {!exchange_all}, or a scenario driver's drives — is asynchronous. *)
+
 val rand_cl :
   t -> ?duration:float -> ?max_restarts:int -> ?max_hop_retries:int ->
   start:int -> unit -> (Cluster.Walk.stats, Cluster.Walk.error) result * float
-(** Asynchronous randCl walk: the synchronous CTRW hop logic (identical
-    configuration-stream draws, so fault-free endpoints match the
-    synchronous engine) with every hop draw an asynchronous {!randnum}
-    and every token forward an asynchronous {!transmit}; the makespan is
-    the sum of the sub-sessions'. *)
-
-val pick_member : t -> cluster:int -> int
-(** Uniform member via an asynchronous {!randnum} draw. *)
+(** Asynchronous randCl walk: {!Cluster.Walk.rand_cl_on} over {!leaves}
+    (identical configuration-stream draws, so fault-free endpoints match
+    the synchronous engine); the makespan is the sum of the
+    sub-sessions'. *)
 
 val exchange_node : t -> ?duration:float -> node:int -> unit -> (int, Cluster.Walk.error) result * float
-(** Asynchronously exchange one node out of its cluster (walk, announce,
-    replacement draw, swap — same protocol and charges as
-    {!Cluster.Exchange.exchange_node}, minus round counting). *)
+(** Asynchronously exchange one node out of its cluster:
+    {!Cluster.Exchange.exchange_node_on} over {!leaves} (walk, announce,
+    replacement draw, swap — minus round counting).  The makespan sums
+    all three sub-session kinds, so it equals the {!clock} advance. *)
 
 val exchange_all :
   t -> ?duration:float -> cluster:int -> unit -> (int list, Cluster.Walk.error) result * float
-(** Asynchronously exchange every member of [cluster] (snapshot up-front)
-    and charge the composition updates to the affected neighbourhoods;
-    returns the sorted distinct clusters that swapped a node with it,
-    plus the summed makespan. *)
+(** Asynchronously exchange every member of [cluster]:
+    {!Cluster.Exchange.exchange_all_on} over {!leaves}; returns the sorted
+    distinct clusters that swapped a node with it, plus the summed
+    makespan. *)

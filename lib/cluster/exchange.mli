@@ -29,4 +29,31 @@ val exchange_all :
 (** Exchange every member of [cluster] (snapshot taken up-front, as the
     protocol does).  Returns the sorted list of distinct clusters that
     swapped a node with it.  Ends by charging the composition-update
-    messages to the neighbours of every affected cluster. *)
+    messages ({!view_cost}) to the neighbours of every affected
+    cluster. *)
+
+val exchange_node_on :
+  Walk.leaves ->
+  ?duration:float ->
+  Config.t ->
+  node:int ->
+  (int, error) Stdlib.result * float
+(** {!exchange_node} over the given leaves, plus its makespan: the sum of
+    the walk's, the announcement's and the replacement draw's.  Bulk
+    charges (the node transfer) cost [bulk_rounds] rounds. *)
+
+val exchange_all_on :
+  Walk.leaves ->
+  ?duration:float ->
+  Config.t ->
+  cluster:int ->
+  (int list, error) Stdlib.result * float
+(** {!exchange_all} over the given leaves, plus the summed makespan of its
+    node exchanges (the view updates are bulk charges with no
+    makespan). *)
+
+val view_cost : Config.t -> int -> int
+(** Messages one cluster's composition announcement costs: its size times
+    the summed sizes of its overlay neighbours (every member tells every
+    member of every adjacent cluster).  Churn operations ({!Ops}) charge
+    their view updates with it too. *)

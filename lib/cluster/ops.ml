@@ -3,15 +3,6 @@ module Ledger = Metrics.Ledger
 
 type error = Walk.error
 
-(* Neighbourhood-announcement cost of a cluster: every member to every
-   member of every adjacent cluster. *)
-let view_cost cfg cid =
-  let s = Config.size cfg cid in
-  let total = ref 0 in
-  Graph.iter_neighbors (Config.overlay cfg) cid (fun nb ->
-      total := !total + (s * Config.size cfg nb));
-  !total
-
 (* A random permutation computed collaboratively: Fisher-Yates where each
    swap index is one randNum draw by the cluster. *)
 let collaborative_shuffle cfg ~cluster arr =
@@ -59,7 +50,7 @@ let split_session cfg ~cluster ~fresh_cid ~overlay_edges =
     (* Old cluster tells its neighbours it was replaced; the new cluster
        announces itself to its fresh neighbourhood. *)
     Ledger.charge (Config.ledger cfg) ~label:"split.view_update"
-      ~messages:(view_cost cfg cluster + view_cost cfg fresh_cid)
+      ~messages:(Exchange.view_cost cfg cluster + Exchange.view_cost cfg fresh_cid)
       ~rounds:1;
     Ok fresh_cid
 
@@ -106,7 +97,7 @@ let join_session cfg ?byzantine ?duration ~node ~contact () =
     Graph.iter_neighbors (Config.overlay cfg) selected (fun nb ->
         neighborhood := !neighborhood + Config.size cfg nb);
     Ledger.charge (Config.ledger cfg) ~label:"join.insert"
-      ~messages:(view_cost cfg selected + !neighborhood)
+      ~messages:(Exchange.view_cost cfg selected + !neighborhood)
       ~rounds:2;
     (match Exchange.exchange_all ?duration cfg ~cluster:selected with
     | Ok _ -> Ok selected
@@ -123,7 +114,7 @@ let leave_session cfg ?duration ~node () =
   (* Members of the cluster drop the departed node from their views and
      tell the neighbours to do the same. *)
   Ledger.charge (Config.ledger cfg) ~label:"leave.notify"
-    ~messages:(Config.size cfg home + view_cost cfg home)
+    ~messages:(Config.size cfg home + Exchange.view_cost cfg home)
     ~rounds:1;
   match Exchange.exchange_all ?duration cfg ~cluster:home with
   | Error e -> Error e

@@ -20,9 +20,48 @@ let mix contributions ~range =
   in
   Int64.to_int (Int64.rem (Int64.logand acc Int64.max_int) (Int64.of_int range))
 
+let secure cfg members =
+  let byz = List.length (List.filter (Config.is_byzantine cfg) members) in
+  3 * byz < 2 * List.length members
+
+let contribution cfg id =
+  match Config.byzantine cfg id with
+  | None -> Some (Rng.int (Config.rng cfg) 1_073_741_823)
+  | Some strategy ->
+    (* Committed before any honest contribution is visible; the VSS
+       model makes it binding and consistent across members. *)
+    let c = B.share strategy (B.rng_of strategy) in
+    (* Withheld or biased shares are injected deviations; the
+       honest-looking shares of the channel-targeting behaviours are
+       not (commit-reveal makes them indistinguishable). *)
+    (if Trace.active () then
+       match (strategy, c) with
+       | _, None -> Trace.point ~attrs:[ ("node", id) ] Trace.Msg "byz.randnum.withhold"
+       | (B.Silent | B.Fixed _ | B.Equivocate _ | B.Random_noise _ | B.Bias_share _), Some _
+         ->
+         Trace.point ~attrs:[ ("node", id) ] Trace.Msg "byz.randnum.bias"
+       | (B.Drop_walk _ | B.Misroute_walk _ | B.Lie_views _), Some _ -> ());
+    c
+
+let conclude ~secure ~n ~range contributions =
+  let participants = List.length contributions in
+  (* Honest-side stall detection: reconstruction needs shares escrowed by
+     more than two thirds of the members (the VSS quorum); more than 1/3
+     withholding is observable by every honest member as missing escrows. *)
+  let stalled = 3 * participants < 2 * n in
+  if stalled && Trace.active () then
+    Trace.point ~attrs:[ ("have", participants); ("need", (2 * n / 3) + 1) ] Trace.Msg
+      "randnum.stall";
+  if not secure then { value = 0; secure; stalled; participants }
+  else begin
+    let sorted =
+      List.sort (fun (a, _) (b, _) -> compare a b) contributions |> List.map snd
+    in
+    { value = mix sorted ~range; secure; stalled; participants }
+  end
+
 let run_session cfg ~range ~members ~n =
-  let byz_members = List.filter (Config.is_byzantine cfg) members in
-  let secure = 3 * List.length byz_members < 2 * n in
+  let secure = secure cfg members in
   (* Message-level session: round 1 = escrow broadcast, round 2 =
      reconstruction broadcast.  The actual share contents do not influence
      the outcome model beyond the contributions collected below, but the
@@ -31,25 +70,7 @@ let run_session cfg ~range ~members ~n =
   let contributions : (int * int) list ref = ref [] in
   List.iter
     (fun id ->
-      let contribution =
-        match Config.byzantine cfg id with
-        | None -> Some (Rng.int (Config.rng cfg) 1_073_741_823)
-        | Some strategy ->
-          (* Committed before any honest contribution is visible; the VSS
-             model makes it binding and consistent across members. *)
-          let c = B.share strategy (B.rng_of strategy) in
-          (* Withheld or biased shares are injected deviations; the
-             honest-looking shares of the channel-targeting behaviours are
-             not (commit-reveal makes them indistinguishable). *)
-          (if Trace.active () then
-             match (strategy, c) with
-             | _, None -> Trace.point ~attrs:[ ("node", id) ] Trace.Msg "byz.randnum.withhold"
-             | (B.Silent | B.Fixed _ | B.Equivocate _ | B.Random_noise _ | B.Bias_share _), Some _
-               ->
-               Trace.point ~attrs:[ ("node", id) ] Trace.Msg "byz.randnum.bias"
-             | (B.Drop_walk _ | B.Misroute_walk _ | B.Lie_views _), Some _ -> ());
-          c
-      in
+      let contribution = contribution cfg id in
       (match contribution with
       | Some c -> contributions := (id, c) :: !contributions
       | None -> () (* silent member: excluded from the mix, consistently *));
@@ -63,21 +84,7 @@ let run_session cfg ~range ~members ~n =
             Net.multicast net ~src:id ~dsts:others ~label:"randnum" 0))
     members;
   Net.run_rounds net 2;
-  let participants = List.length !contributions in
-  (* Honest-side stall detection: reconstruction needs shares escrowed by
-     more than two thirds of the members (the VSS quorum); more than 1/3
-     withholding is observable by every honest member as missing escrows. *)
-  let stalled = 3 * participants < 2 * n in
-  if stalled && Trace.active () then
-    Trace.point ~attrs:[ ("have", participants); ("need", (2 * n / 3) + 1) ] Trace.Msg
-      "randnum.stall";
-  if not secure then { value = 0; secure; stalled; participants }
-  else begin
-    let sorted =
-      List.sort (fun (a, _) (b, _) -> compare a b) !contributions |> List.map snd
-    in
-    { value = mix sorted ~range; secure; stalled; participants }
-  end
+  conclude ~secure ~n ~range !contributions
 
 let run cfg ~cluster ~range =
   if range <= 0 then invalid_arg "Randnum.run: range must be positive";

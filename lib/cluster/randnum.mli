@@ -38,6 +38,30 @@ val run : Config.t -> cluster:int -> range:int -> outcome
 (** Raises [Not_found] on an unknown cluster and [Invalid_argument] on an
     empty cluster or non-positive range. *)
 
+(** {2 Shared by both message engines}
+
+    The asynchronous engine ([Asim.Session]) delivers escrows and reveals
+    on its own event queue but decides with these same pieces, so its
+    zero-delay draws equal {!run}'s bit for bit. *)
+
+val secure : Config.t -> int list -> bool
+(** Whether Byzantine members are fewer than two thirds of [members] —
+    the draw's [secure] flag. *)
+
+val contribution : Config.t -> int -> int option
+(** The share member [id] escrows ([None] = withheld): a draw from the
+    configuration stream for an honest member, otherwise its behaviour's
+    {!Agreement.Byz_behavior.share}, with a [byz.randnum.withhold] or
+    [byz.randnum.bias] trace point when the share deviates.  Engines
+    call it once per member, in member order. *)
+
+val conclude : secure:bool -> n:int -> range:int -> (int * int) list -> outcome
+(** The draw's outcome from the [(member, contribution)] pairs that made
+    it into the reconstruction (any order) out of [n] members: stalled
+    (with a [randnum.stall] trace point) when fewer than two thirds
+    participated, value [0] when not [secure], otherwise the {!mix} of
+    the contributions sorted by member id. *)
+
 val mix : int list -> range:int -> int
 (** The deterministic combination of contributions used by [run]
     (exposed for tests): 64-bit mixing fold, reduced to [0, range). *)

@@ -51,6 +51,21 @@ let split_point dst_members =
   | [] -> 0
   | _ -> List.nth dst_members (List.length dst_members / 2)
 
+let corrupted_sends strategy ~src ~dsts ~label ~payload send =
+  let rng = B.rng_of strategy and split_at = split_point dsts in
+  List.iter
+    (fun dst ->
+      match B.on_channel strategy rng ~label ~dst ~split_at ~honest:payload with
+      | B.Honest_send -> send ~dst ~deviant:false payload
+      | B.Forge v ->
+        deviation_point strategy ~src ~dst;
+        send ~dst ~deviant:true v
+      | B.Redirect sink ->
+        deviation_point strategy ~src ~dst;
+        send ~dst:sink ~deviant:true payload
+      | B.Stay_silent -> deviation_point strategy ~src ~dst)
+    dsts
+
 (* The naive session: every destination node collects its full inbox and
    runs [validate] over it, one scan per sender.  Kept as the oracle the
    batched path is qcheck-tested against. *)
@@ -59,7 +74,6 @@ let reference_session cfg ~src_cluster ~dst_cluster ~label ~payload =
   let dst_members = Config.members cfg dst_cluster in
   let net = Net.create ~ledger:(Config.ledger cfg) () in
   let verdicts : (int, int option) Hashtbl.t = Hashtbl.create 16 in
-  let split_at = split_point dst_members in
   List.iter
     (fun id ->
       match Config.byzantine cfg id with
@@ -69,22 +83,11 @@ let reference_session cfg ~src_cluster ~dst_cluster ~label ~payload =
             if round = 1 then
               Net.multicast net ~src:id ~dsts:dst_members ~label payload)
       | Some strategy ->
-        let rng = B.rng_of strategy in
         Net.add_node net ~id (fun ~round ~inbox ->
             ignore inbox;
             if round = 1 then
-              List.iter
-                (fun dst ->
-                  match B.on_channel strategy rng ~label ~dst ~split_at ~honest:payload with
-                  | B.Honest_send -> Net.send net ~src:id ~dst ~label payload
-                  | B.Forge v ->
-                    deviation_point strategy ~src:id ~dst;
-                    Net.send net ~src:id ~dst ~label ~deviant:true v
-                  | B.Redirect sink ->
-                    deviation_point strategy ~src:id ~dst;
-                    Net.send net ~src:id ~dst:sink ~label ~deviant:true payload
-                  | B.Stay_silent -> deviation_point strategy ~src:id ~dst)
-                dst_members))
+              corrupted_sends strategy ~src:id ~dsts:dst_members ~label ~payload
+                (fun ~dst ~deviant v -> Net.send net ~src:id ~dst ~label ~deviant v)))
     src_members;
   List.iter
     (fun id ->
@@ -117,7 +120,6 @@ let transmit_session cfg ~src_cluster ~dst_cluster ~label ~payload =
   let src_members = Config.members cfg src_cluster in
   let dst_members = Config.members cfg dst_cluster in
   let net = Net.create ~ledger:(Config.ledger cfg) () in
-  let split_at = split_point dst_members in
   (* Byzantine votes per destination, in reversed send order. *)
   let byz_votes : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 8 in
   let record ~dst ~sender value =
@@ -142,26 +144,13 @@ let transmit_session cfg ~src_cluster ~dst_cluster ~label ~payload =
             if round = 1 then
               Net.multicast net ~src:id ~dsts:dst_members ~label payload)
       | Some strategy ->
-        let rng = B.rng_of strategy in
         Net.add_node ~needs_inbox:false net ~id (fun ~round ~inbox ->
             ignore inbox;
             if round = 1 then
-              List.iter
-                (fun dst ->
-                  match B.on_channel strategy rng ~label ~dst ~split_at ~honest:payload with
-                  | B.Honest_send ->
-                    Net.send net ~src:id ~dst ~label payload;
-                    record ~dst ~sender:id payload
-                  | B.Forge v ->
-                    deviation_point strategy ~src:id ~dst;
-                    Net.send net ~src:id ~dst ~label ~deviant:true v;
-                    record ~dst ~sender:id v
-                  | B.Redirect sink ->
-                    deviation_point strategy ~src:id ~dst;
-                    Net.send net ~src:id ~dst:sink ~label ~deviant:true payload;
-                    record ~dst:sink ~sender:id payload
-                  | B.Stay_silent -> deviation_point strategy ~src:id ~dst)
-                dst_members))
+              corrupted_sends strategy ~src:id ~dsts:dst_members ~label ~payload
+                (fun ~dst ~deviant v ->
+                  Net.send net ~src:id ~dst ~label ~deviant v;
+                  record ~dst ~sender:id v)))
     src_members;
   List.iter
     (fun id ->

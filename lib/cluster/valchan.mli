@@ -17,11 +17,22 @@ val validate : members:int list -> inbox:(int * int) list -> int option
 (** Pure majority rule: the payload sent by strictly more than half of
     [members] (counting at most one message per member), if any. *)
 
-val split_point : int list -> int
-(** The receiver-id threshold {!Agreement.Byz_behavior.Equivocate}
-    splits destinations at: the median member id (0 for an empty list).
-    Exposed so the asynchronous engine dispatches behaviours with the
-    identical split, keeping its zero-delay runs bit-compatible. *)
+val corrupted_sends :
+  Agreement.Byz_behavior.t ->
+  src:int ->
+  dsts:int list ->
+  label:string ->
+  payload:int ->
+  (dst:int -> deviant:bool -> int -> unit) ->
+  unit
+(** A corrupted source member [src]'s side of one transfer, for either
+    message engine: per destination in [dsts] order,
+    {!Agreement.Byz_behavior.on_channel} (a fresh
+    {!Agreement.Byz_behavior.rng_of} stream per call, destinations split
+    at their median id) picks the action, and [send ~dst ~deviant v]
+    emits each copy actually sent — a forged value, or the honest
+    payload to a redirect sink, with [deviant] set.  Every deviation
+    emits a [byz.<deviation>] trace point. *)
 
 type result = {
   verdicts : (int * int option) list;

@@ -17,10 +17,36 @@ let default_duration cfg =
   let mean_degree = Float.max 1.0 (Graph.mean_degree g) in
   2.0 *. (log (float_of_int n) /. log 2.0) /. mean_degree
 
-let rand_cl_session ?duration ?(max_restarts = 1000) ?(max_hop_retries = 2) cfg ~start =
+type leaves = {
+  randnum : cluster:int -> range:int -> Randnum.outcome * float;
+  transmit :
+    src_cluster:int ->
+    dst_cluster:int ->
+    label:string ->
+    payload:int ->
+    Valchan.result * float;
+  bulk_rounds : int;
+  span_time : unit -> int;
+}
+
+let sync cfg =
+  let ledger = Config.ledger cfg in
+  {
+    randnum = (fun ~cluster ~range -> (Randnum.run cfg ~cluster ~range, 0.0));
+    transmit =
+      (fun ~src_cluster ~dst_cluster ~label ~payload ->
+        (Valchan.transmit cfg ~src_cluster ~dst_cluster ~label ~payload (), 0.0));
+    bulk_rounds = 1;
+    span_time = (fun () -> Metrics.Ledger.total_rounds ledger);
+  }
+
+let rand_cl_session l ?duration ?(max_restarts = 1000) ?(max_hop_retries = 2) cfg ~start =
   let overlay = Config.overlay cfg in
   let duration = match duration with Some d -> d | None -> default_duration cfg in
   let max_size = float_of_int (Config.max_cluster_size cfg) in
+  (* The walk's makespan: the sum of its draws' and transfers' makespans,
+     in the order they ran. *)
+  let elapsed = ref 0.0 in
   let exception Invalid of int in
   (* [retries] counts hop re-draws across the whole walk; a hop that fails
      validation (dropped or misrouted token copies by a Byzantine majority
@@ -31,7 +57,11 @@ let rand_cl_session ?duration ?(max_restarts = 1000) ?(max_hop_retries = 2) cfg 
      byte-identical to the pre-retry implementation. *)
   let rec hop current remaining hops restarts retries =
     let d = Graph.degree overlay current in
-    let draw range = (Randnum.run cfg ~cluster:current ~range).value in
+    let draw range =
+      let o, makespan = l.randnum ~cluster:current ~range in
+      elapsed := !elapsed +. makespan;
+      o.Randnum.value
+    in
     let finish () =
       (* Endpoint acceptance coin: p = |C| / max |C'|. *)
       let p = float_of_int (Config.size cfg current) /. max_size in
@@ -53,10 +83,11 @@ let rand_cl_session ?duration ?(max_restarts = 1000) ?(max_hop_retries = 2) cfg 
            mutates. *)
         let next = (Graph.sorted_neighbors overlay current).(neighbor_index) in
         (* Forward the walk token over the validated channel. *)
-        let res =
-          Valchan.transmit cfg ~src_cluster:current ~dst_cluster:next ~label:"walk.token"
-            ~payload:hops ()
+        let res, makespan =
+          l.transmit ~src_cluster:current ~dst_cluster:next ~label:"walk.token"
+            ~payload:hops
         in
+        elapsed := !elapsed +. makespan;
         match res.Valchan.unanimous with
         | Some _ -> hop next (remaining -. hold) (hops + 1) restarts retries
         | None ->
@@ -71,23 +102,28 @@ let rand_cl_session ?duration ?(max_restarts = 1000) ?(max_hop_retries = 2) cfg 
       end
     end
   in
-  match hop start duration 0 0 0 with
-  | result -> result
-  | exception Invalid c -> Error (`Validation_failed c)
+  let result =
+    match hop start duration 0 0 0 with
+    | result -> result
+    | exception Invalid c -> Error (`Validation_failed c)
+  in
+  (result, !elapsed)
 
-let rand_cl ?duration ?max_restarts ?max_hop_retries cfg ~start =
-  let ledger = Config.ledger cfg in
+let rand_cl_on l ?duration ?max_restarts ?max_hop_retries cfg ~start =
   Trace.with_span
     ~attrs:[ ("start", start) ]
-    ~ledger
-    ~time:(Metrics.Ledger.total_rounds ledger)
-    Trace.Msg "randcl"
-    (fun () -> rand_cl_session ?duration ?max_restarts ?max_hop_retries cfg ~start)
+    ~ledger:(Config.ledger cfg) ~time:(l.span_time ()) Trace.Msg "randcl"
+    (fun () -> rand_cl_session l ?duration ?max_restarts ?max_hop_retries cfg ~start)
 
-let pick_member cfg ~cluster =
+let rand_cl ?duration ?max_restarts ?max_hop_retries cfg ~start =
+  fst (rand_cl_on (sync cfg) ?duration ?max_restarts ?max_hop_retries cfg ~start)
+
+let pick_member_on l cfg ~cluster =
   let members = Config.members cfg cluster in
-  let idx = (Randnum.run cfg ~cluster ~range:(List.length members)).value in
-  List.nth members idx
+  let o, makespan = l.randnum ~cluster ~range:(List.length members) in
+  (List.nth members o.Randnum.value, makespan)
+
+let pick_member cfg ~cluster = fst (pick_member_on (sync cfg) cfg ~cluster)
 
 let pick_node ?duration cfg ~start =
   match rand_cl ?duration cfg ~start with

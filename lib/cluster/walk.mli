@@ -35,15 +35,37 @@ type stats = {
           point *)
 }
 
-val coin_range : int
-(** Resolution of the per-hop draw: one randNum over
-    [degree * coin_range] splits into a neighbour index and a uniform
-    holding-time coin.  Exposed so the asynchronous engine's hop draws
-    are bit-compatible. *)
+(** {2 Leaves}
 
-val default_duration : Config.t -> float
-(** The default walk duration, [2 * log2 (#clusters) / mean-degree] —
-    the mixing-time budget [rand_cl] uses when [duration] is omitted. *)
+    randCl and exchange are written once, over the two leaf primitives an
+    engine provides: {!sync} for this engine, [Asim.Session.leaves] for
+    the asynchronous one, which delivers on an event queue.  The engines
+    therefore differ only in delivery and tallies, never in a composite's
+    decisions. *)
+
+type leaves = {
+  randnum : cluster:int -> range:int -> Randnum.outcome * float;
+      (** one in-cluster draw and its makespan *)
+  transmit :
+    src_cluster:int ->
+    dst_cluster:int ->
+    label:string ->
+    payload:int ->
+    Valchan.result * float;
+      (** one validated transfer and its makespan *)
+  bulk_rounds : int;
+      (** rounds one bulk ledger charge (a node transfer, a view update)
+          costs: 1 synchronously, 0 asynchronously (virtual time replaces
+          round counting there) *)
+  span_time : unit -> int;
+      (** the logical time stamp of a composite's trace span: the ledger's
+          round total, or the asynchronous session's virtual clock *)
+}
+
+val sync : Config.t -> leaves
+(** The synchronous engine's leaves: {!Randnum.run} and
+    {!Valchan.transmit} with zero makespans, one round per bulk charge,
+    spans stamped with the ledger's round total. *)
 
 val rand_cl :
   ?duration:float ->
@@ -65,8 +87,23 @@ val rand_cl :
     across the walk before [`Validation_failed] blames the current
     cluster.  Fault-free walks are unaffected by the retry logic. *)
 
+val rand_cl_on :
+  leaves ->
+  ?duration:float ->
+  ?max_restarts:int ->
+  ?max_hop_retries:int ->
+  Config.t ->
+  start:int ->
+  (stats, error) Stdlib.result * float
+(** {!rand_cl} over the given leaves (the same hop decisions and draw
+    sequence on any engine), plus the walk's makespan: the sum of its
+    draws' and token transfers' makespans. *)
+
 val pick_member : Config.t -> cluster:int -> int
 (** Uniform member of the cluster via {!Randnum} ([randNum(|C|)]). *)
+
+val pick_member_on : leaves -> Config.t -> cluster:int -> int * float
+(** {!pick_member} over the given leaves, plus the draw's makespan. *)
 
 val pick_node :
   ?duration:float -> Config.t -> start:int -> (int, error) Stdlib.result

@@ -1,29 +1,12 @@
-module Config = Cluster.Config
-module Valchan = Cluster.Valchan
-module Randnum = Cluster.Randnum
-module Walk = Cluster.Walk
 module Rng = Prng.Rng
-module Ledger = Metrics.Ledger
 module Session = Asim.Session
 
 let kind = "async"
 
 type t = {
   spec : Spec.t;
-  inner : Msg_driver.t;  (* churn + scan control plane, shared config *)
-  session : Session.t;  (* asynchronous data plane *)
-  hist : int array;
-  mutable walks_ok : int;
-  mutable walks_failed : int;
-  mutable walk_retries : int;
-  mutable walk_misblamed : int;
-  mutable randnum_stalls : int;
-  mutable randnum_insecure : int;
-  mutable valchan_accepted : int;
-  mutable valchan_forged : int;
-  mutable valchan_rejected : int;
-  mutable exchanges : int;
-  mutable steps : int;
+  inner : Msg_driver.t;  (* every drive and tally, over the session's leaves *)
+  session : Session.t;
 }
 
 let delay_of_spec (spec : Spec.t) =
@@ -42,53 +25,18 @@ let supports (spec : Spec.t) =
 
 let of_config ?patience ~rng ?labels (spec : Spec.t) cfg =
   let delay = delay_of_spec spec in
-  let inner = Msg_driver.of_config ~rng ?labels spec cfg in
   (* Split the delay stream off the driver's root after construction:
      the configuration build consumes the same prefix as the synchronous
      message driver, and the delay stream is derived, not shared. *)
   let session = Session.create ?patience ~rng:(Rng.split rng) ~delay cfg in
-  {
-    spec;
-    inner;
-    session;
-    hist = Array.make (max 1 spec.Spec.randnum_range) 0;
-    walks_ok = 0;
-    walks_failed = 0;
-    walk_retries = 0;
-    walk_misblamed = 0;
-    randnum_stalls = 0;
-    randnum_insecure = 0;
-    valchan_accepted = 0;
-    valchan_forged = 0;
-    valchan_rejected = 0;
-    exchanges = 0;
-    steps = 0;
-  }
+  let inner =
+    Msg_driver.of_config ~leaves:(Session.leaves session) ~rng ?labels spec cfg
+  in
+  { spec; inner; session }
 
 let of_rng ?patience ~rng ?labels (spec : Spec.t) =
   (match supports spec with Ok () -> () | Error msg -> invalid_arg msg);
-  let delay = delay_of_spec spec in
-  let inner = Msg_driver.of_rng ~rng ?labels spec in
-  let session =
-    Session.create ?patience ~rng:(Rng.split rng) ~delay (Msg_driver.config inner)
-  in
-  {
-    spec;
-    inner;
-    session;
-    hist = Array.make (max 1 spec.Spec.randnum_range) 0;
-    walks_ok = 0;
-    walks_failed = 0;
-    walk_retries = 0;
-    walk_misblamed = 0;
-    randnum_stalls = 0;
-    randnum_insecure = 0;
-    valchan_accepted = 0;
-    valchan_forged = 0;
-    valchan_rejected = 0;
-    exchanges = 0;
-    steps = 0;
-  }
+  of_config ?patience ~rng ?labels spec (Msg_driver.build ~rng spec)
 
 let create ~seed ?labels spec = of_rng ~rng:(Rng.create seed) ?labels spec
 
@@ -97,91 +45,11 @@ let create_cell ~seed ~cell ?labels spec =
 
 let session t = t.session
 let config t = Msg_driver.config t.inner
-let rng t = Msg_driver.rng t.inner
-let ledger t = Msg_driver.ledger t.inner
-let randnum_hist t = Array.copy t.hist
 let labels t = Msg_driver.labels t.inner
 let label t = kind ^ ":" ^ t.spec.Spec.name
 
-let ids t = Array.of_list (Config.cluster_ids (config t))
-
-let walk_once t ~time ~(spec : Spec.t) =
-  let ids = ids t in
-  let start = ids.(time mod Array.length ids) in
-  match
-    Session.rand_cl t.session ?duration:spec.Spec.walk_duration ~start ()
-  with
-  | Ok s, _ ->
-    t.walks_ok <- t.walks_ok + 1;
-    t.walk_retries <- t.walk_retries + s.Walk.hop_retries;
-    Monitor.maybe_count ~series:"walk.retry" ~labels:(labels t) ~time
-      s.Walk.hop_retries
-  | Error err, _ ->
-    t.walks_failed <- t.walks_failed + 1;
-    (match err with
-    | `Validation_failed c ->
-      if not (List.mem c (Config.cluster_ids (config t))) then
-        t.walk_misblamed <- t.walk_misblamed + 1
-    | `Too_many_restarts -> ());
-    Monitor.maybe_count ~series:"walk.failed" ~labels:(labels t) ~time 1
-
-let randnum_once t ~time ~(spec : Spec.t) =
-  let ids = ids t in
-  let cluster = ids.(time mod Array.length ids) in
-  let o, _ = Session.randnum t.session ~cluster ~range:spec.Spec.randnum_range in
-  if o.Randnum.value >= 0 && o.Randnum.value < Array.length t.hist then
-    t.hist.(o.Randnum.value) <- t.hist.(o.Randnum.value) + 1;
-  if o.Randnum.stalled then begin
-    t.randnum_stalls <- t.randnum_stalls + 1;
-    Monitor.maybe_count ~series:"randnum.stall" ~labels:(labels t) ~time 1
-  end;
-  if not o.Randnum.secure then t.randnum_insecure <- t.randnum_insecure + 1
-
-let valchan_once t ~time ~(spec : Spec.t) =
-  let src, dst =
-    match spec.Spec.valchan_route with
-    | Some (src, dst) -> (src, dst)
-    | None ->
-      let ids = ids t in
-      let n = Array.length ids in
-      (ids.(time mod n), ids.((time + 1) mod n))
-  in
-  let payload = 1 + Rng.int (rng t) 1_000 in
-  let res, _ =
-    Session.transmit t.session ~src_cluster:src ~dst_cluster:dst ~payload ()
-  in
-  let forged =
-    List.exists
-      (fun (_, v) -> match v with Some v -> v <> payload | None -> false)
-      res.Valchan.verdicts
-  in
-  if forged then begin
-    t.valchan_forged <- t.valchan_forged + 1;
-    Monitor.maybe_count ~series:"valchan.forged" ~labels:(labels t) ~time 1
-  end
-  else if res.Valchan.unanimous = Some payload then
-    t.valchan_accepted <- t.valchan_accepted + 1
-  else t.valchan_rejected <- t.valchan_rejected + 1
-
-let exchange t =
-  let ids = ids t in
-  match Session.exchange_all t.session ~cluster:ids.(0) () with
-  | Ok _, _ ->
-    t.exchanges <- t.exchanges + 1;
-    true
-  | Error _, _ -> false
-
 let step t ~time =
-  let spec = t.spec in
-  Msg_driver.churn_step t.inner ~time;
-  if spec.Spec.drive.Spec.walks then walk_once t ~time ~spec;
-  if spec.Spec.drive.Spec.randnum then randnum_once t ~time ~spec;
-  if spec.Spec.drive.Spec.valchan then valchan_once t ~time ~spec;
-  (match spec.Spec.drive.Spec.exchange_every with
-  | Some k when k > 0 && time mod k = 0 -> ignore (exchange t)
-  | _ -> ());
-  Msg_driver.scan t.inner;
-  t.steps <- t.steps + 1;
+  Msg_driver.advance t.inner ~time;
   (* Post-step digest frame: the shared configuration plus the delay
      stream's cursor, so mis-seeded delays are bisectable to [rng]. *)
   Audit.maybe_record_config ~labels:(labels t)
@@ -221,21 +89,9 @@ let sample t ~time =
     (float_of_int (Session.inflight_peak t.session))
 
 let stats t =
-  let base = Msg_driver.stats t.inner in
   {
-    base with
-    Driver.Stats.steps = t.steps;
-    walks_ok = t.walks_ok;
-    walks_failed = t.walks_failed;
-    walk_retries = t.walk_retries;
-    walk_misblamed = t.walk_misblamed;
-    randnum_stalls = t.randnum_stalls;
-    randnum_insecure = t.randnum_insecure;
-    valchan_accepted = t.valchan_accepted;
-    valchan_forged = t.valchan_forged;
-    valchan_rejected = t.valchan_rejected;
-    exchanges = t.exchanges;
-    virtual_time = Session.clock t.session;
+    (Msg_driver.stats t.inner) with
+    Driver.Stats.virtual_time = Session.clock t.session;
     session_timeouts = Session.timeouts t.session;
     lat_p99 = Session.latency_p99 t.session;
   }

@@ -1,20 +1,21 @@
 (** The {!Driver.S} implementation over the asynchronous engine.
 
-    A hybrid of the other two drivers: the control plane (churn, cluster
-    scans, monitor samples) is delegated to an inner {!Msg_driver} over
-    the shared {!Cluster.Config}, while the data plane — every walk,
-    randNum draw, validated transfer and exchange the spec drives — runs
-    through an {!Asim.Session} under the spec's delay model
-    ([Spec.delay], default ["exp"]).  Primitive outcomes are tallied with
-    the same classification as the message-level driver, plus the two
-    asynchronous observables: accumulated virtual time and deadline hits
-    ({!Driver.Stats.t}'s [virtual_time] / [session_timeouts]).
+    A {!Msg_driver} whose primitive drives run on an {!Asim.Session}'s
+    leaves ({!Asim.Session.leaves}) under the spec's delay model
+    ([Spec.delay], default ["exp"]): churn, cluster scans, monitor
+    samples and every primitive tally are the message driver's own, and
+    this module adds only what is asynchronous — delay parsing, the
+    audit frame carrying the delay-stream cursor, the session's monitor
+    gauges and the three asynchronous {!Driver.Stats.t} fields
+    ([virtual_time], [session_timeouts], [lat_p99]).
 
     Determinism: one root stream seeds the configuration exactly as the
     message driver would; the delay stream is split off it after
     construction, and each step's audit frame folds the delay cursor into
     the [rng] digest, so a mis-seeded delay stream is bisectable like any
-    other stream drift. *)
+    other stream drift.  Under the ["zero"] delay model a driver equals a
+    {!Msg_driver} over an identical configuration (tested), except that
+    it counts no rounds. *)
 
 type t
 
@@ -41,31 +42,19 @@ val create_cell :
 val of_rng :
   ?patience:float -> rng:Prng.Rng.t -> ?labels:(string * string) list ->
   Spec.t -> t
-(** Construction from an existing stream; [patience] overrides the
-    session's deadline multiplier (default 8). *)
+(** Construction from an existing stream: {!Msg_driver.build} draws the
+    configuration from [rng], then {!of_config} wraps it; [patience]
+    overrides the session's deadline multiplier (default 8). *)
 
 val of_config :
   ?patience:float -> rng:Prng.Rng.t -> ?labels:(string * string) list ->
   Spec.t -> Cluster.Config.t -> t
 (** Wrap an already-built configuration (bespoke experiment geometries),
-    like {!Msg_driver.of_config}. *)
+    like {!Msg_driver.of_config}; the delay stream is [Rng.split rng]. *)
 
 val session : t -> Asim.Session.t
 (** The underlying asynchronous session (clock, timeouts, direct
     primitive access for experiments). *)
-
-val config : t -> Cluster.Config.t
-(** The driven configuration. *)
-
-val rng : t -> Prng.Rng.t
-(** The driver's root stream (protocol draws; the delay stream is
-    private to {!session}). *)
-
-val ledger : t -> Metrics.Ledger.t
-(** The configuration's cost ledger. *)
-
-val randnum_hist : t -> int array
-(** Copy of the per-value histogram of the driven [randNum] draws. *)
 
 val labels : t -> (string * string) list
 (** See {!Driver.S.labels}. *)
@@ -74,15 +63,14 @@ val label : t -> string
 (** See {!Driver.S.label}: [async:scenario-name]. *)
 
 val step : t -> time:int -> unit
-(** See {!Driver.S.step}: the inner driver's churn, then the enabled
-    primitives through the asynchronous session, the inner scan, and an
-    audit frame carrying the delay-stream cursor. *)
+(** See {!Driver.S.step}: the inner driver's {!Msg_driver.advance} (its
+    primitives asynchronous), then an audit frame carrying the
+    delay-stream cursor. *)
 
 val sample : t -> time:int -> unit
 (** See {!Driver.S.sample}: the inner driver's configuration sample plus
     the [asim.clock] / [asim.timeouts] gauges. *)
 
 val stats : t -> Driver.Stats.t
-(** See {!Driver.S.stats}: the inner driver's churn/scan tallies with the
-    primitive tallies and virtual-time fields replaced by the
-    asynchronous ones. *)
+(** See {!Driver.S.stats}: the inner driver's tallies plus the session's
+    virtual time, deadline hits and 99th-percentile makespan. *)

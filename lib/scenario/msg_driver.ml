@@ -13,6 +13,7 @@ type t = {
   spec : Spec.t;
   labels : (string * string) list;
   cfg : Config.t;
+  prims : Walk.leaves;  (* the leaves the primitive drives run on *)
   rng : Rng.t;
   behavior : (int -> Agreement.Byz_behavior.t) option;
   target : int;  (* population at creation: the churn band's reference *)
@@ -68,12 +69,13 @@ let behavior_fn (spec : Spec.t) =
           | Ok b -> b
           | Error _ -> assert false))
 
-let of_config ~rng ?(labels = []) (spec : Spec.t) cfg =
+let of_config ?leaves ~rng ?(labels = []) (spec : Spec.t) cfg =
   (match supports spec with Ok () -> () | Error msg -> invalid_arg msg);
   {
     spec;
     labels;
     cfg;
+    prims = (match leaves with Some l -> l | None -> Walk.sync cfg);
     rng;
     behavior = behavior_fn spec;
     target = Config.n_nodes cfg;
@@ -105,15 +107,12 @@ let of_config ~rng ?(labels = []) (spec : Spec.t) cfg =
     exchanges = 0;
   }
 
-let of_rng ~rng ?labels (spec : Spec.t) =
-  let ledger = Ledger.create () in
-  let behavior = behavior_fn spec in
-  let cfg =
-    Config.build_uniform ~rng ~ledger ?behavior ~n_clusters:spec.n_clusters
-      ~cluster_size:spec.cluster_size ~byz_per_cluster:(Spec.byz_count spec)
-      ~overlay_degree:spec.overlay_degree ()
-  in
-  of_config ~rng ?labels spec cfg
+let build ~rng (spec : Spec.t) =
+  Config.build_uniform ~rng ~ledger:(Ledger.create ()) ?behavior:(behavior_fn spec)
+    ~n_clusters:spec.n_clusters ~cluster_size:spec.cluster_size
+    ~byz_per_cluster:(Spec.byz_count spec) ~overlay_degree:spec.overlay_degree ()
+
+let of_rng ~rng ?labels spec = of_config ~rng ?labels spec (build ~rng spec)
 
 let create ~seed ?labels spec = of_rng ~rng:(Rng.create seed) ?labels spec
 
@@ -220,7 +219,7 @@ let churn_step t ~time =
 let walk_once t ~time =
   let ids = ids t in
   let start = ids.(time mod Array.length ids) in
-  match Walk.rand_cl ?duration:t.spec.walk_duration t.cfg ~start with
+  match fst (Walk.rand_cl_on t.prims ?duration:t.spec.walk_duration t.cfg ~start) with
   | Ok s ->
     t.walks_ok <- t.walks_ok + 1;
     t.walk_retries <- t.walk_retries + s.Walk.hop_retries;
@@ -238,7 +237,7 @@ let walk_once t ~time =
 let randnum_once t ~time =
   let ids = ids t in
   let cluster = ids.(time mod Array.length ids) in
-  let o = Randnum.run t.cfg ~cluster ~range:t.spec.randnum_range in
+  let o, _ = t.prims.randnum ~cluster ~range:t.spec.randnum_range in
   if o.Randnum.value >= 0 && o.Randnum.value < Array.length t.hist then
     t.hist.(o.Randnum.value) <- t.hist.(o.Randnum.value) + 1;
   if o.Randnum.stalled then begin
@@ -257,7 +256,9 @@ let valchan_once t ~time =
       (ids.(time mod n), ids.((time + 1) mod n))
   in
   let payload = 1 + Rng.int t.rng 1_000 in
-  let res = Valchan.transmit t.cfg ~src_cluster:src ~dst_cluster:dst ~payload () in
+  let res, _ =
+    t.prims.transmit ~src_cluster:src ~dst_cluster:dst ~label:"valchan" ~payload
+  in
   let forged =
     List.exists
       (fun (_, v) -> match v with Some v -> v <> payload | None -> false)
@@ -273,7 +274,7 @@ let valchan_once t ~time =
 
 let exchange t =
   let ids = ids t in
-  match Exchange.exchange_all t.cfg ~cluster:ids.(0) with
+  match fst (Exchange.exchange_all_on t.prims t.cfg ~cluster:ids.(0)) with
   | Ok _ ->
     t.exchanges <- t.exchanges + 1;
     true
@@ -291,7 +292,7 @@ let scan t =
       if hf < t.min_honest then t.min_honest <- hf)
     (Config.cluster_ids t.cfg)
 
-let step t ~time =
+let advance t ~time =
   churn_step t ~time;
   if t.spec.drive.Spec.walks then walk_once t ~time;
   if t.spec.drive.Spec.randnum then randnum_once t ~time;
@@ -300,7 +301,10 @@ let step t ~time =
   | Some k when k > 0 && time mod k = 0 -> ignore (exchange t)
   | _ -> ());
   scan t;
-  t.steps <- t.steps + 1;
+  t.steps <- t.steps + 1
+
+let step t ~time =
+  advance t ~time;
   (* Post-step digest frame; read-only, see State_driver.step. *)
   Audit.maybe_record_config ~labels:t.labels ~step:time t.cfg
 

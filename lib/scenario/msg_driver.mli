@@ -6,7 +6,10 @@
     insert, full exchange, split when oversized), departures run
     Algorithm 2 through [Cluster.Ops.leave] (notify, exchange, cascade,
     merge when undersized), and every escrowed share, walk token and view
-    update is an authenticated message on [Simkernel.Net].  When the spec
+    update is an authenticated message on [Simkernel.Net].  The primitive
+    drives (walk, randNum, valChan, exchange) run on the driver's
+    {!Cluster.Walk.leaves}, so the same driver runs them asynchronously
+    over an [Asim.Session]'s leaves ([Async_driver]).  When the spec
     names a behaviour, each arrival is corrupted by a seeded Bernoulli
     draw of rate [tau], capped so the corrupted fraction never exceeds
     the [tau] budget (the stationary-adversary model).
@@ -42,7 +45,12 @@ val of_rng : rng:Prng.Rng.t -> ?labels:(string * string) list -> Spec.t -> t
     split of the harness): builds the spec's uniform geometry from [rng]
     and keeps drawing from it. *)
 
+val build : rng:Prng.Rng.t -> Spec.t -> Cluster.Config.t
+(** The spec's uniform geometry, drawn from [rng], with corrupted members
+    running the spec's behaviour — the configuration {!of_rng} wraps. *)
+
 val of_config :
+  ?leaves:Cluster.Walk.leaves ->
   rng:Prng.Rng.t ->
   ?labels:(string * string) list ->
   Spec.t ->
@@ -51,7 +59,9 @@ val of_config :
 (** Wrap an already-built configuration (bespoke geometries like E13's
     two-cluster channel pairs); [rng] supplies the driver's own draws
     (payloads, churn picks) and is typically the stream [cfg] was built
-    from. *)
+    from.  [leaves] (default [Cluster.Walk.sync cfg]) are what the walk,
+    randNum, valChan and exchange drives run on — an [Asim.Session]'s
+    leaves make them asynchronous; churn stays synchronous either way. *)
 
 val config : t -> Cluster.Config.t
 (** The driven configuration (for direct primitive measurements). *)
@@ -76,15 +86,9 @@ val leave : t -> unit
     [max 2 (2/3 * cluster_size)] (a merge refused for lack of a partner
     is not a failure). *)
 
-val churn_step : t -> time:int -> unit
-(** The spec's churn action for this step, without driving any primitive
-    — the control-plane half of {!step}, exposed so the asynchronous
-    driver can reuse it (its data plane runs on {!Asim} instead). *)
-
 val scan : t -> unit
 (** The post-step cluster scan (sizes, honest majorities, honest-fraction
-    floor) — read-only; the other half {!step} shares with the
-    asynchronous driver. *)
+    floor) — read-only. *)
 
 val walk_once : t -> time:int -> unit
 (** One [randCl] walk from the live cluster [time mod #C], honouring the
@@ -124,6 +128,10 @@ val step : t -> time:int -> unit
     against that population as [n0]), then the enabled primitives in
     walk / randNum / valChan order, a periodic exchange, and a full
     cluster scan (sizes, honest majorities, honest-fraction floor). *)
+
+val advance : t -> time:int -> unit
+(** {!step} without its audit frame, for a driver that records its own
+    (the asynchronous driver adds its delay-stream cursor). *)
 
 val sample : t -> time:int -> unit
 (** See {!Driver.S.sample}: [Monitor.maybe_sample_config] under the

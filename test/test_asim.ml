@@ -149,7 +149,24 @@ let test_delay_round_trip () =
   checkb "bad parameter is refused" true
     (match Delay.of_name "uniform:mean=-1" with Error _ -> true | Ok _ -> false);
   checkb "unknown parameter is refused" true
-    (match Delay.of_name "zero:mean=2" with Error _ -> true | Ok _ -> false)
+    (match Delay.of_name "zero:mean=2" with Error _ -> true | Ok _ -> false);
+  (* Non-finite numbers and fractional counts are refused at parse time,
+     never surfacing later as a sampling exception or an infinite delay. *)
+  List.iter
+    (fun name ->
+      checkb (name ^ " is refused") true
+        (match Delay.of_name name with Error _ -> true | Ok _ -> false))
+    [
+      "exp:mean=inf";
+      "uniform:mean=inf";
+      "uniform:mean=nan";
+      "straggler:factor=inf";
+      "straggler:every=2.5";
+      "straggler:every=nan";
+      "partition:penalty=inf";
+      "partition:penalty=nan";
+      "partition:groups=2.5";
+    ]
 
 (* Bounded support and structural slow sets: the crisp-threshold
    arithmetic E14 relies on. *)
@@ -249,6 +266,103 @@ let test_zero_delay_walk_matches_sync () =
     | Error _, Error _ -> ()
     | _ -> Alcotest.fail "sync and zero-delay async walks disagree");
     checkb "zero delay, zero makespan" true (makespan = 0.0)
+  done
+
+(* Zero-delay exchange: the same walks, announcements, replacement draws
+   and swaps as the synchronous engine, so the same placements, the same
+   memberships and the same message bill. *)
+let test_zero_delay_exchange_matches_sync () =
+  for seed = 1 to 20 do
+    let cfg_sync = ring_config ~rng:(Rng.of_int seed) in
+    let cfg_async = ring_config ~rng:(Rng.of_int seed) in
+    let reference = Cluster.Exchange.exchange_all cfg_sync ~cluster:0 in
+    let s = Session.create ~rng:(Rng.of_int (seed + 1)) ~delay:Delay.Zero cfg_async in
+    let res, _ = Session.exchange_all s ~cluster:0 () in
+    (match (reference, res) with
+    | Ok a, Ok b -> Alcotest.(check (list int)) "touched equal" a b
+    | Error _, Error _ -> ()
+    | _ -> Alcotest.fail "sync and zero-delay async exchanges disagree");
+    List.iter
+      (fun c ->
+        Alcotest.(check (list int))
+          (Printf.sprintf "cluster %d members" c)
+          (Config.members cfg_sync c) (Config.members cfg_async c))
+      (Config.cluster_ids cfg_sync);
+    checki "ledger messages equal"
+      (Metrics.Ledger.total_messages (Config.ledger cfg_sync))
+      (Metrics.Ledger.total_messages (Config.ledger cfg_async))
+  done
+
+(* The whole driver at zero delay: churn, every primitive drive, periodic
+   exchanges and scans equal the synchronous driver's over an identical
+   configuration.  The synchronous root is advanced by the one split the
+   asynchronous driver takes for its delay stream, so both drivers then
+   draw the same payloads and churn picks.  The asynchronous engine counts
+   no rounds and the synchronous one has no session deadlines; every other
+   stat must agree. *)
+let test_zero_delay_driver_matches_sync () =
+  List.iter
+    (fun behavior ->
+      let spec =
+        {
+          Scenario.primitives with
+          Scenario.Spec.delay = Some "zero";
+          behavior;
+          drive =
+            { Scenario.primitives.Scenario.Spec.drive with exchange_every = Some 3 };
+        }
+      in
+      List.iter
+        (fun seed ->
+          let rng_sync = Rng.of_int seed and rng_async = Rng.of_int seed in
+          let cfg_sync = Scenario.Msg_driver.build ~rng:rng_sync spec in
+          let cfg_async = Scenario.Msg_driver.build ~rng:rng_async spec in
+          ignore (Rng.split rng_sync);
+          let sync = Scenario.Msg_driver.of_config ~rng:rng_sync spec cfg_sync in
+          let async = Scenario.Async_driver.of_config ~rng:rng_async spec cfg_async in
+          for time = 0 to 11 do
+            Scenario.Msg_driver.step sync ~time;
+            Scenario.Async_driver.step async ~time
+          done;
+          let blind (s : Scenario.Stats.t) =
+            { s with rounds = 0; session_timeouts = 0 }
+          in
+          checkb "stats equal (rounds, timeouts aside)" true
+            (blind (Scenario.Msg_driver.stats sync)
+            = blind (Scenario.Async_driver.stats async));
+          checkb "memberships equal" true
+            (List.map (Config.members cfg_sync) (Config.cluster_ids cfg_sync)
+            = List.map (Config.members cfg_async) (Config.cluster_ids cfg_async)))
+        [ 3; 4 ])
+    [ None; Some "equivocate" ]
+
+(* Every session primitive's returned makespan is the virtual time it
+   advanced the session clock by.  Each call runs on a fresh session, so
+   the clock delta is the clock itself; [exchange_all] groups its sum per
+   node, so the two agree up to float summation order. *)
+let test_session_makespans_match_clock () =
+  let same a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 b in
+  for seed = 1 to 20 do
+    let session () =
+      Session.create ~rng:(Rng.of_int (seed + 1))
+        ~delay:(Delay.Uniform { mean = 1.0 })
+        (ring_config ~rng:(Rng.of_int seed))
+    in
+    let check name run =
+      let s = session () in
+      let makespan = run s in
+      checkb
+        (Printf.sprintf "seed %d: %s makespan %g = clock %g" seed name makespan
+           (Session.clock s))
+        true
+        (same makespan (Session.clock s))
+    in
+    check "transmit" (fun s ->
+        snd (Session.transmit s ~src_cluster:0 ~dst_cluster:1 ~payload:7 ()));
+    check "randnum" (fun s -> snd (Session.randnum s ~cluster:0 ~range:100));
+    check "rand_cl" (fun s -> snd (Session.rand_cl s ~start:0 ()));
+    check "exchange_node" (fun s -> snd (Session.exchange_node s ~node:3 ()));
+    check "exchange_all" (fun s -> snd (Session.exchange_all s ~cluster:0 ()))
   done
 
 (* ---------- async scenario driver determinism ---------- *)
@@ -355,6 +469,12 @@ let suite =
       test_zero_delay_randnum_matches_sync;
     Alcotest.test_case "zero-delay walk == synchronous endpoint" `Quick
       test_zero_delay_walk_matches_sync;
+    Alcotest.test_case "zero-delay exchange == synchronous exchange" `Quick
+      test_zero_delay_exchange_matches_sync;
+    Alcotest.test_case "zero-delay async driver == message driver" `Quick
+      test_zero_delay_driver_matches_sync;
+    Alcotest.test_case "session makespans equal the clock advance" `Quick
+      test_session_makespans_match_clock;
     Alcotest.test_case "async cells are byte-identical for any -j" `Quick
       test_async_cells_jobs_identical;
     Alcotest.test_case "recording perturbs no async stat" `Quick
