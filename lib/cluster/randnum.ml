@@ -66,7 +66,8 @@ let run_session cfg ~range ~members ~n =
      reconstruction broadcast.  The actual share contents do not influence
      the outcome model beyond the contributions collected below, but the
      messages are real and counted. *)
-  let net = Net.create ~ledger:(Config.ledger cfg) () in
+  let net = Config.net cfg in
+  Net.reset net;
   let contributions : (int * int) list ref = ref [] in
   List.iter
     (fun id ->
@@ -74,14 +75,13 @@ let run_session cfg ~range ~members ~n =
       (match contribution with
       | Some c -> contributions := (id, c) :: !contributions
       | None -> () (* silent member: excluded from the mix, consistently *));
-      let others = List.filter (fun m -> m <> id) members in
       (* Pure senders: escrow/reconstruction inboxes are modelled
-         analytically (contributions collected above), so inbox
-         materialisation is skipped. *)
+         analytically (contributions collected above), so no member has
+         an inbox and the kernel only counts the broadcasts. *)
       Net.add_node ~needs_inbox:false net ~id (fun ~round ~inbox ->
           ignore inbox;
           if (round = 1 || round = 2) && contribution <> None then
-            Net.multicast net ~src:id ~dsts:others ~label:"randnum" 0))
+            Net.multicast net ~src:id ~dsts:members ~except:id ~label:"randnum" 0))
     members;
   Net.run_rounds net 2;
   conclude ~secure ~n ~range !contributions

@@ -104,88 +104,105 @@ let reference_session cfg ~src_cluster ~dst_cluster ~label ~payload =
          (id, match Hashtbl.find_opt verdicts id with Some v -> v | None -> None))
        honest_dst)
 
-(* The batched session: one quorum pass per (destination, message) instead
-   of one [validate] scan per sender.
+(* The batched session: one quorum pass per destination instead of one
+   [validate] scan per sender.
 
    Every honest source member multicasts the identical payload, so the
    honest part of every destination's vote tally is the same number H of
    [payload] votes; only deviant sends differ per destination.  Recording
-   the few Byzantine sends as they happen (in send order, first message
-   per sender winning — exactly what [validate] sees after the kernel's
-   stable per-sender sort) lets each verdict be computed from H plus a
-   handful of recorded votes.  All messages are still physically sent
-   through the same private net: ledger charges, [messages_sent], trace
-   points and Byzantine RNG draws are byte-identical to the reference. *)
+   each Byzantine source's first value to each destination (first message
+   per sender winning, in send order — exactly what [validate] sees after
+   the kernel's stable per-sender sort) lets each verdict be computed from
+   H plus at most one recorded vote per Byzantine source.  All messages
+   are still sent through the configuration's net, which only counts them
+   (nobody is registered with an inbox, destinations not at all):
+   ledger charges, [messages_sent], trace points and Byzantine RNG draws
+   are byte-identical to the reference. *)
 let transmit_session cfg ~src_cluster ~dst_cluster ~label ~payload =
   let src_members = Config.members cfg src_cluster in
   let dst_members = Config.members cfg dst_cluster in
-  let net = Net.create ~ledger:(Config.ledger cfg) () in
-  (* Byzantine votes per destination, in reversed send order. *)
-  let byz_votes : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 8 in
-  let record ~dst ~sender value =
-    let cell =
-      match Hashtbl.find_opt byz_votes dst with
-      | Some c -> c
-      | None ->
-        let c = ref [] in
-        Hashtbl.add byz_votes dst c;
-        c
-    in
-    cell := (sender, value) :: !cell
+  let dsts = Array.of_list dst_members in
+  let m = Array.length dsts in
+  let n_byz =
+    List.fold_left
+      (fun b id -> if Config.is_byzantine cfg id then b + 1 else b)
+      0 src_members
   in
-  let n_honest_src = ref 0 in
+  (* Byzantine source [i]'s first value to destination [j] sits at
+     [i * m + j], once [voted] marks it. *)
+  let voted = Array.make (n_byz * m) false and first = Array.make (n_byz * m) 0 in
+  (* [dst]'s position among the sorted destinations, [-1] for a redirect
+     sink outside them. *)
+  let rec position dst lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      if dsts.(mid) = dst then mid
+      else if dsts.(mid) < dst then position dst (mid + 1) hi
+      else position dst lo mid
+  in
+  let record base ~dst value =
+    let j = position dst 0 m in
+    if j >= 0 && not voted.(base + j) then begin
+      voted.(base + j) <- true;
+      first.(base + j) <- value
+    end
+  in
+  let net = Config.net cfg in
+  Net.reset net;
+  let next_byz = ref 0 in
   List.iter
     (fun id ->
       match Config.byzantine cfg id with
       | None ->
-        incr n_honest_src;
         Net.add_node ~needs_inbox:false net ~id (fun ~round ~inbox ->
             ignore inbox;
             if round = 1 then
               Net.multicast net ~src:id ~dsts:dst_members ~label payload)
       | Some strategy ->
+        let base = !next_byz * m in
+        incr next_byz;
         Net.add_node ~needs_inbox:false net ~id (fun ~round ~inbox ->
             ignore inbox;
             if round = 1 then
               corrupted_sends strategy ~src:id ~dsts:dst_members ~label ~payload
                 (fun ~dst ~deviant v ->
                   Net.send net ~src:id ~dst ~label ~deviant v;
-                  record ~dst ~sender:id v)))
+                  record base ~dst v)))
     src_members;
-  List.iter
-    (fun id ->
-      if not (Config.is_byzantine cfg id) then
-        Net.add_node ~needs_inbox:false net ~id (fun ~round:_ ~inbox:_ -> ()))
-    dst_members;
   Net.run_rounds net 2;
   let threshold = List.length src_members / 2 in
-  let verdict_of dst =
-    (* Votes = H copies of [payload] + this destination's recorded
-       Byzantine votes (one per sender, first send wins). *)
-    let counts : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    let voted : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-    if !n_honest_src > 0 then Hashtbl.replace counts payload !n_honest_src;
-    (match Hashtbl.find_opt byz_votes dst with
-    | None -> ()
-    | Some cell ->
-      List.iter
-        (fun (sender, value) ->
-          if not (Hashtbl.mem voted sender) then begin
-            Hashtbl.replace voted sender ();
-            let c =
-              match Hashtbl.find_opt counts value with Some c -> c | None -> 0
-            in
-            Hashtbl.replace counts value (c + 1)
-          end)
-        (List.rev !cell));
-    (* At most one value can clear a strict-majority threshold. *)
-    Hashtbl.fold (fun value c acc -> if c > threshold then Some value else acc) counts None
+  let n_honest_src = List.length src_members - n_byz in
+  (* [value]'s votes at destination [j]: H if it is the payload, plus the
+     Byzantine first votes recorded for it. *)
+  let votes j value =
+    let c = ref (if value = payload then n_honest_src else 0) in
+    for i = 0 to n_byz - 1 do
+      let k = (i * m) + j in
+      if voted.(k) && first.(k) = value then incr c
+    done;
+    !c
   in
-  summarise
-    (List.filter_map
-       (fun id ->
-         if Config.is_byzantine cfg id then None else Some (id, verdict_of id))
-       dst_members)
+  (* At most one value can clear a strict majority: the payload or a value
+     some Byzantine source sent. *)
+  let verdict_of j =
+    if votes j payload > threshold then Some payload
+    else
+      let rec forged i =
+        if i = n_byz then None
+        else
+          let k = (i * m) + j in
+          if voted.(k) && votes j first.(k) > threshold then Some first.(k)
+          else forged (i + 1)
+      in
+      forged 0
+  in
+  let verdicts = ref [] in
+  for j = m - 1 downto 0 do
+    let id = dsts.(j) in
+    if not (Config.is_byzantine cfg id) then verdicts := (id, verdict_of j) :: !verdicts
+  done;
+  summarise !verdicts
 
 let transmit_reference cfg ~src_cluster ~dst_cluster ?(label = "valchan") ~payload () =
   reference_session cfg ~src_cluster ~dst_cluster ~label ~payload

@@ -7,11 +7,11 @@
     the honest majority determines the accepted value and Byzantine
     members can neither forge nor block it.
 
-    [transmit] runs the exchange as a real 2-round session on a private
-    {!Simkernel.Net} (sharing the configuration's ledger): each member of
-    the source cluster sends the payload to each member of the destination
-    cluster — Byzantine members send whatever their behaviour dictates —
-    and each destination node applies the majority rule. *)
+    [transmit] runs the exchange as a real 2-round session on the
+    configuration's {!Config.net}: each member of the source cluster sends
+    the payload to each member of the destination cluster — Byzantine
+    members send whatever their behaviour dictates — and each destination
+    node applies the majority rule. *)
 
 val validate : members:int list -> inbox:(int * int) list -> int option
 (** Pure majority rule: the payload sent by strictly more than half of
@@ -51,16 +51,17 @@ val transmit :
 (** Raises [Not_found] on unknown cluster ids.  [label] defaults to
     ["valchan"].
 
-    Quorum checks are batched: one pass per (destination, message) built
-    from the shared honest vote count plus the destination's recorded
-    deviant votes, instead of a full {!validate} scan per sender.  All
-    messages still flow through the private net, so charging, counters,
-    trace points and Byzantine RNG draws are byte-identical to
-    {!transmit_reference}. *)
+    Quorum checks are batched: one pass per destination built from the
+    shared honest vote count plus each Byzantine source's first vote to
+    it, instead of a full {!validate} scan per sender.  Every message is
+    still sent through the configuration's net, which only counts them
+    (no destination reads an inbox), so charging, counters, trace points
+    and Byzantine RNG draws are byte-identical to {!transmit_reference}. *)
 
 val transmit_reference :
   Config.t -> src_cluster:int -> dst_cluster:int -> ?label:string -> payload:int -> unit -> result
 (** The naive per-sender session ({!validate} over every destination's
-    full inbox) — the oracle the batched {!transmit} is equivalence-tested
-    against.  Same charging and same RNG trajectory as {!transmit}; only
-    the internal evaluation strategy differs. *)
+    full inbox, delivered by a fresh net's per-message path) — the oracle
+    the batched {!transmit} is equivalence-tested against.  Same charging
+    and same RNG trajectory as {!transmit}; only the internal evaluation
+    strategy differs. *)

@@ -9,6 +9,7 @@ type 'msg node = {
 type 'msg t = {
   nodes : (int, 'msg node) Hashtbl.t;
   mutable ids_cache : int list option;  (* sorted live ids, rebuilt on churn *)
+  mutable readers : int;  (* registered nodes with an inbox *)
   mutable pending : (int * int * 'msg) list;  (* (src, dst, msg), reversed send order *)
   mutable round : int;
   mutable messages_sent : int;
@@ -21,6 +22,7 @@ let create ?ledger () =
   {
     nodes = Hashtbl.create 256;
     ids_cache = None;
+    readers = 0;
     pending = [];
     round = 0;
     messages_sent = 0;
@@ -28,11 +30,21 @@ let create ?ledger () =
     ledger;
   }
 
+let reset t =
+  Hashtbl.clear t.nodes;
+  t.ids_cache <- None;
+  t.readers <- 0;
+  t.pending <- [];
+  t.round <- 0;
+  t.messages_sent <- 0;
+  t.deviant_sent <- 0
+
 let ledger t = t.ledger
 
 let add_node ?(needs_inbox = true) t ~id handler =
   if Hashtbl.mem t.nodes id then invalid_arg "Net.add_node: id already in use";
   Hashtbl.add t.nodes id { handler; inbox_rev = []; needs_inbox };
+  if needs_inbox then t.readers <- t.readers + 1;
   t.ids_cache <- None
 
 let replace_handler t ~id handler =
@@ -41,8 +53,12 @@ let replace_handler t ~id handler =
   | None -> invalid_arg "Net.replace_handler: unknown node"
 
 let remove_node t id =
-  Hashtbl.remove t.nodes id;
-  t.ids_cache <- None
+  match Hashtbl.find_opt t.nodes id with
+  | None -> ()
+  | Some node ->
+    Hashtbl.remove t.nodes id;
+    if node.needs_inbox then t.readers <- t.readers - 1;
+    t.ids_cache <- None
 
 let is_alive t id = Hashtbl.mem t.nodes id
 
@@ -54,12 +70,20 @@ let nodes t =
     t.ids_cache <- Some ids;
     ids
 
-(* Queue + count + trace one message; ledger charging is the caller's
-   (so [multicast] can charge its whole batch in one ledger update —
-   observably identical, the ledger only accumulates totals). *)
+let check_sender t src =
+  if not (is_alive t src) then invalid_arg "Net.send: sender is not alive"
+
+(* Count + trace one message, and queue it only if its destination reads
+   an inbox right now; ledger charging is the caller's (so [multicast]
+   can charge its whole batch in one ledger update — observably
+   identical, the ledger only accumulates totals). *)
 let send_uncharged t ~src ~dst ~label ~deviant msg =
-  if not (is_alive t src) then invalid_arg "Net.send: sender is not alive";
-  t.pending <- (src, dst, msg) :: t.pending;
+  if t.readers > 0 then begin
+    match Hashtbl.find t.nodes dst with
+    | { needs_inbox = true; _ } -> t.pending <- (src, dst, msg) :: t.pending
+    | { needs_inbox = false; _ } | (exception Not_found) ->
+      () (* nobody reads it: counted, never queued *)
+  end;
   t.messages_sent <- t.messages_sent + 1;
   if deviant then begin
     t.deviant_sent <- t.deviant_sent + 1;
@@ -72,17 +96,38 @@ let send_uncharged t ~src ~dst ~label ~deviant msg =
       ("net.send." ^ label)
 
 let send t ~src ~dst ?(label = "msg") ?(deviant = false) msg =
+  check_sender t src;
   send_uncharged t ~src ~dst ~label ~deviant msg;
   Metrics.Ledger.charge t.ledger ~label ~messages:1 ~rounds:0
 
-let multicast t ~src ~dsts ?(label = "msg") msg =
-  let n = ref 0 in
-  List.iter
-    (fun dst ->
-      incr n;
-      send_uncharged t ~src ~dst ~label ~deviant:false msg)
-    dsts;
-  if !n > 0 then Metrics.Ledger.charge t.ledger ~label ~messages:!n ~rounds:0
+let multicast t ~src ~dsts ?except ?(label = "msg") msg =
+  if t.readers = 0 && not (Trace.net_detail ()) then begin
+    (* Count-only: no send can be queued or traced, so the batch is just
+       its size. *)
+    let n =
+      match except with
+      | None -> List.length dsts
+      | Some e -> List.fold_left (fun n dst -> if dst = e then n else n + 1) 0 dsts
+    in
+    if n > 0 then begin
+      check_sender t src;
+      t.messages_sent <- t.messages_sent + n;
+      Metrics.Ledger.charge t.ledger ~label ~messages:n ~rounds:0
+    end
+  end
+  else begin
+    let n = ref 0 in
+    List.iter
+      (fun dst ->
+        match except with
+        | Some e when e = dst -> ()
+        | Some _ | None ->
+          if !n = 0 then check_sender t src;
+          incr n;
+          send_uncharged t ~src ~dst ~label ~deviant:false msg)
+      dsts;
+    if !n > 0 then Metrics.Ledger.charge t.ledger ~label ~messages:!n ~rounds:0
+  end
 
 let round t = t.round
 
@@ -91,12 +136,9 @@ let run_round t =
   List.iter
     (fun (src, dst, msg) ->
       match Hashtbl.find_opt t.nodes dst with
-      | Some node ->
-        (* Senders-only nodes opt out of inbox materialisation: their
-           handlers ignore [inbox], so skipping the cons (and the later
-           sort) cannot change behaviour. *)
-        if node.needs_inbox then node.inbox_rev <- (src, msg) :: node.inbox_rev
-      | None -> () (* destination departed: message lost *))
+      | Some ({ needs_inbox = true; _ } as node) ->
+        node.inbox_rev <- (src, msg) :: node.inbox_rev
+      | Some _ | None -> () (* destination departed since the send: message lost *))
     (List.rev t.pending);
   t.pending <- [];
   t.round <- t.round + 1;

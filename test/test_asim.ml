@@ -241,6 +241,45 @@ let test_zero_delay_randnum_matches_sync () =
     checkb "stalled equal" true (reference.Randnum.stalled = o.Randnum.stalled)
   done
 
+(* Exactly 2n/3 corrupt members (6 of 9) is insecure and one fewer is
+   secure, on both engines.  Kills the boundary mutant
+   [3 * byz < 2 * n] -> [<=] in Randnum.secure. *)
+let test_randnum_secure_boundary () =
+  List.iter
+    (fun (byz, secure) ->
+      let cfg () =
+        let overlay = Graph.create () in
+        Graph.add_vertex overlay 0;
+        Config.make ~rng:(Rng.of_int 31)
+          ~byzantine:(fun node -> if node < byz then Some (B.Fixed 3) else None)
+          ~clusters:[ (0, List.init 9 (fun i -> i)) ]
+          ~overlay ()
+      in
+      let sync = Randnum.run (cfg ()) ~cluster:0 ~range:100 in
+      let s = Session.create ~rng:(Rng.of_int 32) ~delay:Delay.Zero (cfg ()) in
+      let async, _ = Session.randnum s ~cluster:0 ~range:100 in
+      let what = Printf.sprintf "%d of 9 corrupt" byz in
+      checkb (what ^ ", synchronous") secure sync.Randnum.secure;
+      checkb (what ^ ", asynchronous") secure async.Randnum.secure)
+    [ (6, false); (5, true) ]
+
+(* Eight members in two id-residue groups of four, under a partition whose
+   crossing penalty (64) outlasts the deadline (8): every escrow and
+   reveal reaches exactly its contributor's own group, so each share has
+   n/2 = 4 holders counting the contributor — not a strict majority.  No
+   share counts and the draw stalls at the deadline.  Kills the boundary
+   mutant [2 * on_time ... > n] -> [>=] in Asim.Session's randNum
+   on-time quorum. *)
+let test_async_randnum_half_quorum_stalls () =
+  let delay = Delay.Partition { mean = 1.0; groups = 2; penalty = 64.0 } in
+  let s =
+    Session.create ~rng:(Rng.of_int 41) ~delay (single_config ~rng:(Rng.of_int 40) ~n:8)
+  in
+  let o, makespan = Session.randnum s ~cluster:0 ~range:100 in
+  checki "no share reaches a strict majority" 0 o.Randnum.participants;
+  checkb "stalled" true o.Randnum.stalled;
+  checkb "at the deadline" true (makespan = Session.timeout s)
+
 let ring_config ~rng =
   let clusters =
     List.init 6 (fun c -> (c, List.init 12 (fun j -> (c * 100) + j)))
@@ -467,6 +506,10 @@ let suite =
       test_zero_delay_valchan_matches_sync;
     Alcotest.test_case "zero-delay randNum == synchronous draw" `Quick
       test_zero_delay_randnum_matches_sync;
+    Alcotest.test_case "randNum security boundary at exactly 2n/3 corrupt" `Quick
+      test_randnum_secure_boundary;
+    Alcotest.test_case "async randNum: n/2 on-time holders is no quorum" `Quick
+      test_async_randnum_half_quorum_stalls;
     Alcotest.test_case "zero-delay walk == synchronous endpoint" `Quick
       test_zero_delay_walk_matches_sync;
     Alcotest.test_case "zero-delay exchange == synchronous exchange" `Quick

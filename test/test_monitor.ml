@@ -99,6 +99,19 @@ let test_corruption_within_tolerance_is_silent () =
   checki "no violations" 0 (Store.n_violations store);
   checkb "but gauges sampled" true (Store.n_samples store > 0)
 
+(* 4 of 12: 8 honest, exactly 2/3 — 3*8 = 24 <= 24 still breaches the
+   strict > 2/3 bound.  Kills the boundary mutant [3 * honest <= 2 * size]
+   -> [<] in Probe's honest floor. *)
+let test_exactly_two_thirds_honest_breaches () =
+  let store = Store.create () in
+  let cfg = msg_config ~seed:71 ~byz_per_cluster:4 in
+  Monitor.Probe.sample_config store ~time:0 cfg;
+  checki "one violation per cluster" 4 (Store.n_violations store);
+  List.iter
+    (fun (v : Store.violation) ->
+      checks "honest-fraction invariant" "cluster.honest_frac" v.Store.invariant)
+    (Store.violations store)
+
 (* Both engines feed the same series families. *)
 let test_both_engines_fill_the_registry () =
   let store = Store.create () in
@@ -510,6 +523,8 @@ let suite =
       test_corruption_above_threshold_breaches;
     Alcotest.test_case "corruption within tolerance is silent" `Quick
       test_corruption_within_tolerance_is_silent;
+    Alcotest.test_case "exactly 2/3 honest breaches the floor" `Quick
+      test_exactly_two_thirds_honest_breaches;
     Alcotest.test_case "both engines fill the registry" `Quick
       test_both_engines_fill_the_registry;
     Alcotest.test_case "exports identical across reruns" `Quick

@@ -221,6 +221,54 @@ let prop_valchan_batched_equals_reference =
       && Metrics.Ledger.labels (Cluster.Config.ledger cfg1)
          = Metrics.Ledger.labels (Cluster.Config.ledger cfg2))
 
+(* The same equivalence where a forged value can win — sources with a
+   Byzantine majority, up to all of them, agreeing on 9 — and on a
+   walk.token transfer, where Drop_walk withholds copies and
+   Misroute_walk redirects them to a sink outside the destination
+   cluster. *)
+let prop_valchan_batched_forged_majority =
+  QCheck.Test.make
+    ~name:
+      "valchan: batched transmit == reference under forged majorities and walk \
+       attacks"
+    ~count:120
+    QCheck.(quad small_int (int_range 1 9) (int_range 1 9) (int_range 0 9))
+    (fun (seed, src_size, dst_size, src_byz) ->
+      let module B = Agreement.Byz_behavior in
+      let strategies =
+        [|
+          B.Fixed 9; B.Equivocate (9, 2); B.Misroute_walk 5; B.Fixed 9; B.Drop_walk 6;
+        |]
+      in
+      let mk () =
+        let byz node =
+          if node < src_byz then Some strategies.(node mod 5)
+          else if node = 100 then Some (B.Fixed 9)
+          else None
+        in
+        let clusters =
+          [
+            (0, List.init src_size (fun i -> i));
+            (1, List.init dst_size (fun i -> 100 + i));
+          ]
+        in
+        let overlay = Dsgraph.Graph.create () in
+        ignore (Dsgraph.Graph.add_edge overlay 0 1);
+        Cluster.Config.make ~rng:(Rng.of_int seed) ~byzantine:byz ~clusters ~overlay ()
+      in
+      let cfg1 = mk () and cfg2 = mk () in
+      let r1 =
+        Cluster.Valchan.transmit cfg1 ~src_cluster:0 ~dst_cluster:1 ~label:"walk.token"
+          ~payload:7 ()
+      in
+      let r2 =
+        Cluster.Valchan.transmit_reference cfg2 ~src_cluster:0 ~dst_cluster:1
+          ~label:"walk.token" ~payload:7 ()
+      in
+      r1 = r2
+      && Metrics.Ledger.labels (Cluster.Config.ledger cfg1)
+         = Metrics.Ledger.labels (Cluster.Config.ledger cfg2))
+
 (* ---------- overlay-health cache vs recompute from scratch ---------- *)
 
 let prop_health_cache_matches_recompute =
@@ -267,5 +315,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_engine_rand_cl_valid;
     QCheck_alcotest.to_alcotest prop_snapshot_roundtrip_any_script;
     QCheck_alcotest.to_alcotest prop_valchan_batched_equals_reference;
+    QCheck_alcotest.to_alcotest prop_valchan_batched_forged_majority;
     QCheck_alcotest.to_alcotest prop_health_cache_matches_recompute;
   ]

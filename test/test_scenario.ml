@@ -186,6 +186,40 @@ let test_msg_driver_supports () =
     checkb "check_supported state accepts" true
       (Scenario.check_supported `State spec = Ok ())
 
+(* ---------- golden message-engine run ----------
+
+   The digest stream and stat lines of a short run of the synchronous
+   message engine against equivocating members, recorded before the
+   kernel stopped queueing messages nobody reads and committed under
+   test/golden.  The -j and rerun gates only compare a commit with
+   itself; this pins the engine's verdicts, RNG draws and message counts
+   across commits.  On a mismatch, [now_sim bisect --file-a/--file-b]
+   against the golden file names the first divergent step. *)
+
+let golden_spec = { Scenario.steady with Spec.behavior = Some "equivocate" }
+
+let golden_summaries =
+  [
+    "msg:steady n=96 #C=6 joins=12 leaves=12 splits=0 merges=0 churn-fail=0 \
+     min-honest=0.688 viol=0 msgs=7829197";
+    "msg:steady n=96 #C=6 joins=12 leaves=12 splits=0 merges=0 churn-fail=0 \
+     min-honest=0.688 viol=0 msgs=8095804";
+  ]
+
+let test_msg_golden () =
+  let r = Audit.create () in
+  let cells =
+    Audit.with_recorder r (fun () ->
+        Scenario.cells ~jobs:1 ~engine:`Msg ~seed:5 ~cells:2 golden_spec)
+  in
+  let golden =
+    In_channel.with_open_bin "golden/msg_equivocate_steady.jsonl" In_channel.input_all
+  in
+  checks "digest stream = golden" golden (Audit.Export.jsonl_string r);
+  Alcotest.(check (list string))
+    "stat lines = golden" golden_summaries
+    (List.map (fun (label, s) -> label ^ " " ^ Stats.summary s) cells)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_diurnal_tracks_band;
@@ -206,4 +240,6 @@ let suite =
       test_msg_driver_counts;
     Alcotest.test_case "msg driver declares unsupported strategies" `Quick
       test_msg_driver_supports;
+    Alcotest.test_case "equivocating msg run matches the golden stream" `Quick
+      test_msg_golden;
   ]

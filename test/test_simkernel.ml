@@ -144,6 +144,194 @@ let test_handler_removing_node_mid_round () =
   Net.run_round net;
   checkb "removed node skipped" false !ran
 
+(* ---------- the send-time delivery rule ---------- *)
+
+let count_points name (dump : Trace.dump) =
+  List.length
+    (List.filter
+       (function Trace.Point { name = n; _ } -> n = name | _ -> false)
+       dump.Trace.events)
+
+(* A send to an inbox-less node is counted, charged and traced but never
+   queued — not even when the id comes back with an inbox before the
+   round that would have delivered it. *)
+let test_inboxless_send_never_delivered () =
+  let net = Net.create () in
+  let got = ref [] in
+  let record ~round:_ ~inbox = got := inbox @ !got in
+  (* node 1 reads its inbox, so sends go through the queueing path *)
+  Net.add_node net ~id:1 record;
+  Net.add_node ~needs_inbox:false net ~id:2 record;
+  let (), dump =
+    Trace.profiled ~net_detail:true (fun () ->
+        Net.send net ~src:1 ~dst:2 ~label:"t" "a";
+        Net.run_round net;
+        Net.send net ~src:1 ~dst:2 ~label:"t" "b";
+        Net.remove_node net 2;
+        Net.add_node net ~id:2 record;
+        Net.run_rounds net 2)
+  in
+  checki "counted" 2 (Net.messages_sent net);
+  checki "charged" 2 (Metrics.Ledger.label_messages (Net.ledger net) "t");
+  checki "traced" 2 (count_points "net.send.t" dump);
+  checki "never delivered" 0 (List.length !got)
+
+(* A send to an id nobody holds is counted and lost, even if the id
+   registers before the next round; a send after it registers arrives. *)
+let test_unknown_destination_lost () =
+  let net = Net.create () in
+  let got = ref [] in
+  Net.add_node net ~id:1 (fun ~round:_ ~inbox:_ -> ());
+  Net.send net ~src:1 ~dst:7 "early";
+  Net.multicast net ~src:1 ~dsts:[ 7; 8 ] "early";
+  Net.add_node net ~id:7 (fun ~round:_ ~inbox -> got := inbox @ !got);
+  Net.run_round net;
+  checki "counted" 3 (Net.messages_sent net);
+  checki "lost" 0 (List.length !got);
+  Net.send net ~src:1 ~dst:7 "late";
+  Net.run_round net;
+  Alcotest.check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+    "a send after registration arrives" [ (1, "late") ] !got
+
+let test_reset () =
+  let ledger = Metrics.Ledger.create () in
+  let net = Net.create ~ledger () in
+  let got = ref [] in
+  Net.add_node net ~id:1 (fun ~round:_ ~inbox:_ -> ());
+  Net.add_node net ~id:2 (fun ~round:_ ~inbox -> got := inbox @ !got);
+  Net.send net ~src:1 ~dst:2 ~deviant:true "x";
+  Net.run_round net;
+  Net.send net ~src:1 ~dst:2 "queued";
+  let messages = Metrics.Ledger.total_messages ledger
+  and rounds = Metrics.Ledger.total_rounds ledger in
+  Net.reset net;
+  Alcotest.check (Alcotest.list Alcotest.int) "no nodes" [] (Net.nodes net);
+  checkb "sender gone" false (Net.is_alive net 1);
+  checki "round 0" 0 (Net.round net);
+  checki "messages_sent 0" 0 (Net.messages_sent net);
+  checki "deviant_sent 0" 0 (Net.deviant_sent net);
+  checkb "same ledger" true (Net.ledger net == ledger);
+  checki "ledger messages kept" messages (Metrics.Ledger.total_messages ledger);
+  checki "ledger rounds kept" rounds (Metrics.Ledger.total_rounds ledger);
+  got := [];
+  Net.add_node net ~id:2 (fun ~round:_ ~inbox -> got := inbox @ !got);
+  Net.run_round net;
+  checki "nothing queued survives" 0 (List.length !got);
+  checki "rounds restart" 1 (Net.round net)
+
+(* [~except] skips exactly that id, on the queueing path and on the
+   count-only path alike. *)
+let test_multicast_except () =
+  List.iter
+    (fun needs_inbox ->
+      let net = Net.create () in
+      let got = ref [] in
+      List.iter
+        (fun id ->
+          Net.add_node ~needs_inbox net ~id (fun ~round:_ ~inbox ->
+              List.iter (fun (src, ()) -> got := (src, id) :: !got) inbox))
+        [ 1; 2; 3; 4 ];
+      Net.multicast net ~src:2 ~dsts:[ 1; 2; 3; 4 ] ~except:2 ~label:"m" ();
+      Net.run_round net;
+      checki "n - 1 sent" 3 (Net.messages_sent net);
+      checki "n - 1 charged" 3 (Metrics.Ledger.label_messages (Net.ledger net) "m");
+      Alcotest.check
+        (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+        "everyone but the sender"
+        (if needs_inbox then [ (2, 1); (2, 3); (2, 4) ] else [])
+        (List.sort compare !got);
+      Net.multicast net ~src:2 ~dsts:[ 1; 2; 3; 4 ] ~except:9 ~label:"m" ();
+      checki "absent except skips nothing" 7 (Net.messages_sent net))
+    [ true; false ]
+
+let test_count_only_dead_sender () =
+  let net = Net.create () in
+  List.iter
+    (fun id -> Net.add_node ~needs_inbox:false net ~id (fun ~round:_ ~inbox:_ -> ()))
+    [ 1; 2; 3 ];
+  Net.remove_node net 1;
+  Alcotest.check_raises "dead sender" (Invalid_argument "Net.send: sender is not alive")
+    (fun () -> Net.multicast net ~src:1 ~dsts:[ 2; 3 ] "boo");
+  checki "nothing counted" 0 (Net.messages_sent net);
+  checki "nothing charged" 0 (Metrics.Ledger.total_messages (Net.ledger net))
+
+(* Random scripts of registrations (with and without inbox), sends,
+   multicasts (unknown ids, [~except]) and rounds: a traced run takes the
+   per-message path everywhere, an untraced one counts whenever no
+   registered node reads an inbox — both must agree on every counter,
+   every ledger label and every delivered inbox. *)
+type op =
+  | Add of int * bool
+  | Remove of int
+  | Send of int * int * bool
+  | Multicast of int * int list * int option
+  | Round
+
+let print_op = function
+  | Add (id, inbox) ->
+    Printf.sprintf "add %d%s" id (if inbox then "" else " (no inbox)")
+  | Remove id -> Printf.sprintf "remove %d" id
+  | Send (src, dst, deviant) ->
+    Printf.sprintf "send %d->%d%s" src dst (if deviant then " deviant" else "")
+  | Multicast (src, dsts, except) ->
+    Printf.sprintf "multicast %d->[%s]%s" src
+      (String.concat ";" (List.map string_of_int dsts))
+      (match except with Some e -> Printf.sprintf " except %d" e | None -> "")
+  | Round -> "round"
+
+let gen_op =
+  QCheck.Gen.(
+    let id = int_range 0 5 in
+    frequency
+      [
+        (3, map2 (fun id inbox -> Add (id, inbox)) id bool);
+        (1, map (fun id -> Remove id) id);
+        (3, map3 (fun src dst deviant -> Send (src, dst, deviant)) id id bool);
+        ( 3,
+          map3
+            (fun src dsts except -> Multicast (src, dsts, except))
+            id (list_size (int_range 0 6) id) (opt id) );
+        (2, return Round);
+      ])
+
+let run_script ops =
+  let net = Net.create () in
+  let log = ref [] in
+  let handler id ~round ~inbox =
+    if inbox <> [] then log := `Inbox (round, id, inbox) :: !log
+  in
+  let attempt f = try f () with Invalid_argument msg -> log := `Raised msg :: !log in
+  List.iteri
+    (fun i op ->
+      match op with
+      | Add (id, needs_inbox) ->
+        if not (Net.is_alive net id) then Net.add_node ~needs_inbox net ~id (handler id)
+      | Remove id -> Net.remove_node net id
+      | Send (src, dst, deviant) ->
+        attempt (fun () -> Net.send net ~src ~dst ~label:"s" ~deviant i)
+      | Multicast (src, dsts, except) ->
+        attempt (fun () -> Net.multicast net ~src ~dsts ?except ~label:"m" i)
+      | Round -> Net.run_round net)
+    ops;
+  Net.run_round net;
+  ( Net.messages_sent net,
+    Net.deviant_sent net,
+    Metrics.Ledger.labels (Net.ledger net),
+    List.rev !log )
+
+let prop_traced_equals_untraced =
+  QCheck.Test.make ~name:"count-only delivery == per-message delivery" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat ", " (List.map print_op ops))
+       QCheck.Gen.(list_size (int_range 0 40) gen_op))
+    (fun ops ->
+      let traced, dump = Trace.profiled ~net_detail:true (fun () -> run_script ops) in
+      let plain = run_script ops in
+      let sent, _, _, _ = traced in
+      traced = plain
+      && count_points "net.send.s" dump + count_points "net.send.m" dump = sent)
+
 let suite =
   [
     Alcotest.test_case "delivery next round" `Quick test_delivery_next_round;
@@ -158,4 +346,13 @@ let suite =
     Alcotest.test_case "run_until" `Quick test_run_until;
     Alcotest.test_case "nodes sorted" `Quick test_nodes_sorted;
     Alcotest.test_case "mid-round removal" `Quick test_handler_removing_node_mid_round;
+    Alcotest.test_case "inbox-less destination: counted, never delivered" `Quick
+      test_inboxless_send_never_delivered;
+    Alcotest.test_case "unknown destination at send time: lost" `Quick
+      test_unknown_destination_lost;
+    Alcotest.test_case "reset" `Quick test_reset;
+    Alcotest.test_case "multicast except" `Quick test_multicast_except;
+    Alcotest.test_case "count-only multicast rejects a dead sender" `Quick
+      test_count_only_dead_sender;
+    QCheck_alcotest.to_alcotest prop_traced_equals_untraced;
   ]
