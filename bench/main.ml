@@ -1,32 +1,37 @@
 (* Benchmark harness: regenerates every table/figure reproduction (the
-   experiment suite E1-E15, F1-F2 and ablations A1-A2 of DESIGN.md) and runs one Bechamel
-   micro-benchmark per experiment, measuring the protocol operation at the
-   heart of that experiment.
+   experiment suite E1-E15, F1-F2 and ablations A1-A2 of DESIGN.md) and a
+   per-experiment primitive breakdown of each experiment's dominant
+   operation.  Per-call timings of each layer come from perfbench's traced
+   run (perfbench/run.py --trace 1).
 
-   Usage:  dune exec bench/main.exe -- [--full] [--skip-micro]
-                                       [--monitor-json FILE] [-j N] [IDS...]
+   Usage:  dune exec bench/main.exe -- [--full] [--monitor-json FILE]
+                                       [--history FILE] [-j N] [IDS...]
      --full        run experiments at EXPERIMENTS.md scale (slow)
-     --skip-micro  skip the Bechamel micro-benchmarks
      --monitor-json FILE
                    run the experiments under the invariant monitor and
                    write per-experiment wall times + the invariant summary
                    to FILE (scripts/bench_diff.ml compares two such files;
                    the committed baseline is BENCH_monitor.json).  Stdout
                    is unchanged — wall times live only in the file.
+     --history FILE
+                   append one line of per-experiment wall time, allocation
+                   and peak live words to FILE (scripts/bench_report.ml
+                   renders it; the committed log is BENCH_history.jsonl)
      -j N          worker domains for the Exec pool (default: available
                    cores; -j 1 reproduces the sequential run — tables are
                    byte-identical either way)
-     IDS           experiment ids (default: all of E1..E15 F1 F2 A1 A2) *)
-
-open Bechamel
+     IDS           experiment ids (default: all of E1..E15 F1 F2 A1 A2)
+   Unknown --flags are ignored. *)
 
 module Engine = Now_core.Engine
 module Node = Now_core.Node
 module Params = Now_core.Params
 module Rng = Prng.Rng
 
+let quote = Metrics.Json.quote
+
 (* ------------------------------------------------------------------ *)
-(* Micro-benchmark fixtures                                            *)
+(* Breakdown fixtures                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let population rng n tau =
@@ -39,222 +44,6 @@ let small_engine ?(walk_mode = Params.Direct_sample) ?(shuffle = true) () =
   in
   let rng = Rng.create 42L in
   Engine.create ~seed:42L params ~initial:(population rng 300 0.15)
-
-(* Each test measures the dominant operation of its experiment.
-
-   Fixture discipline: every fixture goes through Test.make_with_resource,
-   so it is allocated when *that* benchmark starts — never shared between
-   benchmarks, which would make results depend on the order the tests run
-   in.  The two cheap message-level configs (F2, E12) additionally use
-   Test.multiple: a structurally fresh config per run, so those numbers
-   cannot drift at all.  Engine fixtures use Test.uniq — allocating a
-   full engine per run would dominate the measurement — which shares the
-   engine across the runs of one benchmark only; each such test's
-   measured operation is stationary (join+leave and add+remove pairs keep
-   the population constant, exchange preserves cluster composition
-   distribution, adversary drivers run at their steady state), so the
-   per-run cost does not drift within the benchmark. *)
-let uniq_test ~name ~allocate fn =
-  Test.make_with_resource ~name Test.uniq ~allocate ~free:ignore
-    (Staged.stage fn)
-
-let multiple_test ~name ~allocate fn =
-  Test.make_with_resource ~name Test.multiple ~allocate ~free:ignore
-    (Staged.stage fn)
-
-let micro_tests () =
-  (* E1: exchange resamples a cluster's membership from the population —
-     composition is stationary across iterations. *)
-  let e1 =
-    uniq_test ~name:"E1 full cluster exchange"
-      ~allocate:(fun () -> (small_engine (), Rng.of_int 1))
-      (fun (engine, rng) ->
-        let tbl = Engine.table engine in
-        let cid = Now_core.Cluster_table.uniform_cluster tbl rng in
-        ignore (Engine.exchange_cluster engine cid))
-  in
-  (* E2/A1: a fair join/leave coin keeps the population stationary. *)
-  let e2 =
-    uniq_test ~name:"E2 neutral churn step"
-      ~allocate:(fun () -> (small_engine (), Rng.of_int 2))
-      (fun (engine, rng) ->
-        if Rng.bool rng then ignore (Engine.join engine Node.Honest)
-        else ignore (Engine.leave engine (Engine.random_node engine)))
-  in
-  (* E3/E10/E11: adversary steps alternate joins and leaves around a fixed
-     target size, so the driver operates at its steady state. *)
-  let e3 =
-    uniq_test ~name:"E3 targeted-attack step"
-      ~allocate:(fun () ->
-        let engine = small_engine () in
-        Adversary.create ~tau:0.15 ~strategy:Adversary.Target_cluster engine)
-      Adversary.step
-  in
-  (* E4: add+remove pairs keep the vertex count stationary. *)
-  let e4 =
-    uniq_test ~name:"E4 overlay add+remove vertex"
-      ~allocate:(fun () ->
-        let over =
-          Over.create ~rng:(Rng.of_int 40) ~target_degree:(fun ~n_vertices ->
-              min (n_vertices - 1) 8)
-        in
-        Over.init_erdos_renyi over ~vertices:(List.init 64 (fun i -> i));
-        (over, Rng.of_int 4, ref 1000))
-      (fun (over, rng, next) ->
-        let pick () =
-          let vs = Array.of_list (Dsgraph.Graph.vertices (Over.graph over)) in
-          vs.(Rng.int rng (Array.length vs))
-        in
-        incr next;
-        Over.add_vertex over !next ~pick;
-        Over.remove_vertex over (pick ()) ~pick)
-  in
-  (* E5/A2: randCl only reads the cluster table. *)
-  let e5 =
-    uniq_test ~name:"E5 randCl (exact biased CTRW)"
-      ~allocate:(fun () -> small_engine ~walk_mode:Params.Exact_walk ())
-      (fun engine -> ignore (Engine.rand_cl engine ()))
-  in
-  (* E6 measures allocation itself, so there is no fixture to share. *)
-  let e6 =
-    Test.make ~name:"E6 initialisation (n0=128)"
-      (Staged.stage (fun () ->
-           let params = Params.make ~n_max:(1 lsl 10) ~k:3 ~tau:0.15 () in
-           let rng = Rng.create 6L in
-           ignore (Engine.create ~seed:6L params ~initial:(population rng 128 0.15))))
-  in
-  let e7 =
-    uniq_test ~name:"E7 join+leave pair"
-      ~allocate:(fun () -> small_engine ())
-      (fun engine ->
-        ignore (Engine.join engine Node.Honest);
-        ignore (Engine.leave engine (Engine.random_node engine)))
-  in
-  (* E8: broadcast reads the cluster structure, mutates nothing. *)
-  let e8 =
-    uniq_test ~name:"E8 clustered broadcast"
-      ~allocate:(fun () -> small_engine ())
-      (fun engine ->
-        ignore (Apps.Broadcast.run engine ~origin:(Engine.random_node engine)))
-  in
-  (* E9: the walk does not mutate the graph. *)
-  let e9 =
-    uniq_test ~name:"E9 plain CTRW walk"
-      ~allocate:(fun () -> (Dsgraph.Gen.ring ~n:64, Rng.of_int 9))
-      (fun (graph, rng) ->
-        ignore (Randwalk.Ctrw.walk graph rng ~start:0 ~duration:12.0 ()))
-  in
-  let e10 =
-    uniq_test ~name:"E10 grow-shrink sweep step"
-      ~allocate:(fun () ->
-        let engine = small_engine () in
-        Adversary.create ~tau:0.15 ~strategy:(Adversary.Grow_shrink 64) engine)
-      Adversary.step
-  in
-  let f1 =
-    uniq_test ~name:"F1 maintenance op (vs init)"
-      ~allocate:(fun () -> small_engine ())
-      (fun engine ->
-        ignore (Engine.join engine Node.Honest);
-        ignore (Engine.leave engine (Engine.random_node engine)))
-  in
-  (* F2/E12: configs are cheap — build a structurally fresh one per run so
-     the message-level numbers cannot drift by construction. *)
-  let f2 =
-    multiple_test ~name:"F2 message-level exchange of one node"
-      ~allocate:(fun () ->
-        Cluster.Config.build_uniform ~rng:(Rng.of_int 12) ~n_clusters:4
-          ~cluster_size:9 ~byz_per_cluster:2 ~overlay_degree:3 ())
-      (fun cfg ->
-        match Cluster.Exchange.exchange_node cfg ~node:3 with
-        | Ok _ -> ()
-        | Error _ -> ())
-  in
-  let e11 =
-    uniq_test ~name:"E11 step under 1/r adversary"
-      ~allocate:(fun () ->
-        let params =
-          Params.make ~n_max:(1 lsl 10) ~k:3 ~tau:0.25 ~epsilon:0.05
-            ~walk_mode:Params.Direct_sample ()
-        in
-        let rng = Rng.create 43L in
-        let engine = Engine.create ~seed:43L params ~initial:(population rng 300 0.25) in
-        Adversary.create ~tau:0.25 ~strategy:Adversary.Target_cluster engine)
-      Adversary.step
-  in
-  let a1 =
-    uniq_test ~name:"A1 churn step (rejoin-self merges)"
-      ~allocate:(fun () ->
-        let params =
-          Params.make ~n_max:(1 lsl 10) ~k:3 ~tau:0.15
-            ~walk_mode:Params.Direct_sample ~merge_policy:Params.Rejoin_self ()
-        in
-        let rng = Rng.create 44L in
-        (Engine.create ~seed:44L params ~initial:(population rng 300 0.15),
-         Rng.of_int 45))
-      (fun (engine, rng) ->
-        if Rng.bool rng then ignore (Engine.join engine Node.Honest)
-        else ignore (Engine.leave engine (Engine.random_node engine)))
-  in
-  let a2 =
-    uniq_test ~name:"A2 randCl with doubled duration"
-      ~allocate:(fun () ->
-        let params =
-          Params.make ~n_max:(1 lsl 10) ~k:3 ~tau:0.15 ~walk_duration_c:4.0
-            ~walk_mode:Params.Exact_walk ()
-        in
-        let rng = Rng.create 46L in
-        Engine.create ~seed:46L params ~initial:(population rng 300 0.15))
-      (fun engine -> ignore (Engine.rand_cl engine ()))
-  in
-  let e12 =
-    multiple_test ~name:"E12 message-level join+leave (end-to-end)"
-      ~allocate:(fun () ->
-        Cluster.Config.build_uniform ~rng:(Rng.of_int 47) ~n_clusters:5
-          ~cluster_size:10 ~byz_per_cluster:1 ~overlay_degree:3 ())
-      (fun cfg ->
-        (* Fresh config per run, so a fixed joiner id is never a duplicate. *)
-        (match Cluster.Ops.join cfg ~node:500_001 ~contact:0 () with
-        | Ok _ -> ()
-        | Error _ -> ());
-        match Cluster.Ops.leave cfg ~node:500_001 () with
-        | Ok _ -> ()
-        | Error _ -> ())
-  in
-  (* E13: one validated transfer against an equivocating minority — the
-     fault-injection path of the message engine. *)
-  let e13 =
-    multiple_test ~name:"E13 validated transfer vs equivocating minority"
-      ~allocate:(fun () ->
-        Cluster.Config.build_uniform ~rng:(Rng.of_int 48)
-          ~behavior:(fun node -> Agreement.Byz_behavior.Equivocate (node + 1, node + 2))
-          ~n_clusters:2 ~cluster_size:15 ~byz_per_cluster:4 ~overlay_degree:1 ())
-      (fun cfg ->
-        ignore (Cluster.Valchan.transmit cfg ~src_cluster:0 ~dst_cluster:1 ~payload:7 ()))
-  in
-  (* E14: one asynchronous validated transfer under bounded jitter — the
-     discrete-event engine's hot path (heap scheduling + delay draws). *)
-  let e14 =
-    multiple_test ~name:"E14 async validated transfer (uniform jitter)"
-      ~allocate:(fun () ->
-        let cfg =
-          Cluster.Config.build_uniform ~rng:(Rng.of_int 49) ~n_clusters:2
-            ~cluster_size:15 ~byz_per_cluster:0 ~overlay_degree:1 ()
-        in
-        Asim.Session.create ~rng:(Rng.of_int 50)
-          ~delay:(Asim.Delay.Uniform { mean = 1.0 }) cfg)
-      (fun s ->
-        ignore (Asim.Session.transmit s ~src_cluster:0 ~dst_cluster:1 ~payload:7 ()))
-  in
-  (* E15: one system-wide sharded exchange epoch — the flat arena's scale
-     path (per-cluster plans over the Exec pool, sequential apply).
-     Swaps preserve cluster composition, so the fixture is stationary. *)
-  let e15 =
-    uniq_test ~name:"E15 sharded exchange epoch"
-      ~allocate:(fun () -> small_engine ())
-      (fun engine -> ignore (Engine.exchange_epoch engine))
-  in
-  [ e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; e13; e14; e15; f1; f2; a1; a2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-experiment primitive breakdown (trace collector)                 *)
@@ -359,43 +148,6 @@ let run_breakdown () =
     breakdown_ops;
   Metrics.Table.print table
 
-let run_micro () =
-  print_endline "== Bechamel micro-benchmarks (one per experiment) ==";
-  let tests = micro_tests () in
-  let grouped = Test.make_grouped ~name:"now" tests in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.3) ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name est acc -> (name, est) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let table =
-    Metrics.Table.create ~title:"micro-benchmarks (monotonic clock)"
-      ~columns:[ "benchmark"; "time per run"; "r^2" ]
-  in
-  List.iter
-    (fun (name, est) ->
-      let ns = Analyze.OLS.estimates est in
-      let time_ns = match ns with Some (t :: _) -> t | _ -> nan in
-      let pretty =
-        if Float.is_nan time_ns then "n/a"
-        else if time_ns > 1e9 then Printf.sprintf "%.2f s" (time_ns /. 1e9)
-        else if time_ns > 1e6 then Printf.sprintf "%.2f ms" (time_ns /. 1e6)
-        else if time_ns > 1e3 then Printf.sprintf "%.2f us" (time_ns /. 1e3)
-        else Printf.sprintf "%.0f ns" time_ns
-      in
-      let r2 =
-        match Analyze.OLS.r_square est with Some r -> Printf.sprintf "%.3f" r | None -> "-"
-      in
-      Metrics.Table.add_row table
-        [ Metrics.Table.S name; Metrics.Table.S pretty; Metrics.Table.S r2 ])
-    rows;
-  Metrics.Table.print table
-
 (* ------------------------------------------------------------------ *)
 (* Invariant/timing summary (--monitor-json)                           *)
 (* ------------------------------------------------------------------ *)
@@ -410,7 +162,7 @@ let write_monitor_json ~path ~mode ~results ~timings store =
   let buf = Buffer.create 4096 in
   let fr = Monitor.Store.float_repr in
   Buffer.add_string buf "{\n  \"format\": 1,\n";
-  Buffer.add_string buf (Printf.sprintf "  \"mode\": %S,\n" mode);
+  Buffer.add_string buf (Printf.sprintf "  \"mode\": %s,\n" (quote mode));
   Buffer.add_string buf "  \"experiments\": [\n";
   let sorted =
     List.sort
@@ -430,9 +182,9 @@ let write_monitor_json ~path ~mode ~results ~timings store =
       in
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"id\": %S, \"ok\": %b, \"rows\": %d, \"wall_seconds\": \
+           "    {\"id\": %s, \"ok\": %b, \"rows\": %d, \"wall_seconds\": \
             %.3f, \"alloc_bytes\": %.0f}%s\n"
-           id r.Harness.Common.ok (rows_of r) wall alloc
+           (quote id) r.Harness.Common.ok (rows_of r) wall alloc
            (if i = last then "" else ",")))
     sorted;
   Buffer.add_string buf "  ],\n";
@@ -445,7 +197,7 @@ let write_monitor_json ~path ~mode ~results ~timings store =
       init samples
   in
   let field name v =
-    Printf.sprintf "    %S: %s,\n" name
+    Printf.sprintf "    %s: %s,\n" (quote name)
       (if Float.is_finite v then fr v else "null")
   in
   Buffer.add_string buf "  \"invariants\": {\n";
@@ -477,7 +229,7 @@ let write_monitor_json ~path ~mode ~results ~timings store =
   List.iteri
     (fun i (inv, n) ->
       Buffer.add_string buf
-        (Printf.sprintf "%s%S: %d" (if i = 0 then "" else ", ") inv n))
+        (Printf.sprintf "%s%s: %d" (if i = 0 then "" else ", ") (quote inv) n))
     tally;
   Buffer.add_string buf "}\n  }\n}\n";
   let oc = open_out path in
@@ -494,9 +246,9 @@ let write_monitor_json ~path ~mode ~results ~timings store =
 let append_history ~path ~mode ~results ~timings =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "{\"format\": 1, \"mode\": %S, \"stamp\": %.0f, \
+    (Printf.sprintf "{\"format\": 1, \"mode\": %s, \"stamp\": %.0f, \
                      \"experiments\": ["
-       mode (Unix.time ()));
+       (quote mode) (Unix.time ()));
   let sorted =
     List.sort
       (fun a b -> compare a.Harness.Common.id b.Harness.Common.id)
@@ -510,10 +262,10 @@ let append_history ~path ~mode ~results ~timings =
       in
       Buffer.add_string buf
         (Printf.sprintf
-           "%s{\"id\": %S, \"ok\": %b, \"wall_seconds\": %.3f, \
+           "%s{\"id\": %s, \"ok\": %b, \"wall_seconds\": %.3f, \
             \"alloc_bytes\": %.0f, \"peak_live_words\": %.0f}"
            (if i = 0 then "" else ", ")
-           id r.Harness.Common.ok wall alloc live))
+           (quote id) r.Harness.Common.ok wall alloc live))
     sorted;
   Buffer.add_string buf "]}\n";
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
@@ -528,7 +280,6 @@ let append_history ~path ~mode ~results ~timings =
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let full = List.mem "--full" args in
-  let skip_micro = List.mem "--skip-micro" args in
   let rec parse_jobs = function
     | [] -> None
     | ("-j" | "--jobs") :: n :: _ -> (
@@ -628,5 +379,4 @@ let () =
       ~timings
   | None -> ());
   run_breakdown ();
-  if not skip_micro then run_micro ();
   if ok < List.length results then exit 1

@@ -1019,11 +1019,9 @@ let bisect_cmd =
     match (file_a, file_b) with
     | Some a, Some b -> (
       let read path =
-        let ic = open_in_bin path in
-        let len = in_channel_length ic in
-        let data = really_input_string ic len in
-        close_in ic;
-        Audit.Export.of_jsonl data
+        match In_channel.with_open_bin path In_channel.input_all with
+        | data -> Audit.Export.of_jsonl data
+        | exception Sys_error msg -> Error msg
       in
       match (read a, read b) with
       | Error msg, _ -> `Error (false, Printf.sprintf "%s: %s" a msg)

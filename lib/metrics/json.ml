@@ -1,11 +1,31 @@
-(* A minimal JSON reader (objects, arrays, strings, numbers, booleans,
-   null) — just enough for the fixed shapes bench/main.ml writes
-   (BENCH_monitor.json, BENCH_history.jsonl), with no dependencies beyond
-   the stdlib.  Shared by bench_diff and bench_report. *)
+(* The one JSON codec.  The writer escapes only what JSON requires, so the
+   exporters' bytes for ordinary identifiers are the identifiers
+   themselves; the reader is small and lenient (any number literal
+   [float_of_string] accepts), but returns an [Error] on anything it cannot
+   read, never an exception. *)
 
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
+let add_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let quote s =
+  let buf = Buffer.create (String.length s + 2) in
+  add_string buf s;
+  Buffer.contents buf
+
+type t =
+  | Obj of (string * t) list
+  | Arr of t list
   | Str of string
   | Num of float
   | Bool of bool
@@ -13,7 +33,10 @@ type json =
 
 exception Parse_error of string
 
-let parse_json (s : string) : json =
+(* Deeper documents are refused rather than risking the stack. *)
+let max_depth = 512
+
+let parse s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
@@ -60,16 +83,16 @@ let parse_json (s : string) : json =
         | 'r' -> Buffer.add_char buf '\r'
         | 'b' -> Buffer.add_char buf '\b'
         | 'f' -> Buffer.add_char buf '\012'
-        | 'u' ->
+        | 'u' -> (
           if !pos + 4 > n then fail "truncated \\u escape";
           let hex = String.sub s !pos 4 in
           pos := !pos + 4;
-          (* The writer never emits non-ASCII; decode the BMP code point
-             naively as a byte when it fits, else a '?'. *)
-          let code =
-            try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-          in
-          Buffer.add_char buf (if code < 128 then Char.chr code else '?')
+          (* The writer emits only ASCII escapes; any other code point
+             decodes to a '?'. *)
+          match int_of_string_opt ("0x" ^ hex) with
+          | Some code ->
+            Buffer.add_char buf (if code < 128 then Char.chr code else '?')
+          | None -> fail "bad \\u escape")
         | _ -> fail "unknown escape");
         loop ()
       end
@@ -94,7 +117,8 @@ let parse_json (s : string) : json =
     | Some f -> Num f
     | None -> fail (Printf.sprintf "bad number %S" lit)
   in
-  let rec parse_value () =
+  let rec parse_value depth =
+    if depth > max_depth then fail "nesting too deep";
     skip_ws ();
     match peek () with
     | Some '{' ->
@@ -110,7 +134,7 @@ let parse_json (s : string) : json =
           let key = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -132,7 +156,7 @@ let parse_json (s : string) : json =
       end
       else begin
         let rec elements acc =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -152,7 +176,11 @@ let parse_json (s : string) : json =
     | Some _ -> parse_number ()
     | None -> fail "unexpected end of input"
   in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+  match
+    let v = parse_value 0 in
+    skip_ws ();
+    if !pos <> n then fail "trailing garbage";
+    v
+  with
+  | v -> Ok v
+  | exception Parse_error msg -> Error msg

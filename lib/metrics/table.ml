@@ -64,7 +64,7 @@ let print t =
   print_newline ()
 
 let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
+  if String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s then
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
   else s
 

@@ -26,6 +26,13 @@ val render : t -> string
 val print : t -> unit
 (** [render] to stdout, followed by a blank line. *)
 
+val csv_escape : string -> string
+(** The one CSV field escaper (RFC 4180): a field holding a comma, a
+    double quote, CR or LF is wrapped in double quotes with each inner
+    double quote doubled; any other field is returned unchanged. *)
+
 val to_csv : t -> string
+(** Header row, then one row per {!add_row}, cells rendered by
+    {!cell_to_string} and escaped by {!csv_escape}. *)
 
 val cell_to_string : cell -> string

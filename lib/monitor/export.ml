@@ -1,32 +1,11 @@
-(* JSON string escaping for the label values we emit (series and label
-   strings are ASCII identifiers in practice, but escape defensively). *)
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  json_escape buf s;
-  Buffer.add_char buf '"'
-
 let add_labels buf labels =
   Buffer.add_string buf "{";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      add_json_string buf k;
+      Metrics.Json.add_string buf k;
       Buffer.add_char buf ':';
-      add_json_string buf v)
+      Metrics.Json.add_string buf v)
     labels;
   Buffer.add_char buf '}'
 
@@ -36,7 +15,7 @@ let to_jsonl buf store =
       Buffer.add_string buf "{\"labels\":";
       add_labels buf s.labels;
       Buffer.add_string buf ",\"series\":";
-      add_json_string buf s.series;
+      Metrics.Json.add_string buf s.series;
       Buffer.add_string buf (Printf.sprintf ",\"time\":%d" s.time);
       Buffer.add_string buf ",\"type\":\"";
       Buffer.add_string buf (Store.kind_name s.kind);
@@ -50,14 +29,14 @@ let to_jsonl buf store =
       List.iteri
         (fun i entry ->
           if i > 0 then Buffer.add_char buf ',';
-          add_json_string buf entry)
+          Metrics.Json.add_string buf entry)
         v.blame;
       Buffer.add_string buf "],\"bound\":";
       Buffer.add_string buf (Store.float_repr v.bound);
       Buffer.add_string buf ",\"detail\":";
-      add_json_string buf v.detail;
+      Metrics.Json.add_string buf v.detail;
       Buffer.add_string buf ",\"invariant\":";
-      add_json_string buf v.invariant;
+      Metrics.Json.add_string buf v.invariant;
       Buffer.add_string buf ",\"labels\":";
       add_labels buf v.v_labels;
       Buffer.add_string buf ",\"observed\":";
@@ -68,22 +47,6 @@ let to_jsonl buf store =
   Buffer.add_string buf
     (Printf.sprintf "{\"samples\":%d,\"type\":\"meta\",\"violations\":%d}\n"
        (Store.n_samples store) (Store.n_violations store))
-
-let csv_escape s =
-  let needs_quoting =
-    String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
-  in
-  if not needs_quoting then s
-  else begin
-    let buf = Buffer.create (String.length s + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  end
 
 (* Labels collapse into one CSV field as [k=v;k=v]; the structural
    characters ([;], [=]) and the escape itself are backslash-escaped
@@ -128,8 +91,8 @@ let to_csv buf store =
     (fun (s : Store.sample) ->
       Buffer.add_string buf
         (Printf.sprintf "%s,%s,%s,%d,%s,,,\n" (Store.kind_name s.kind)
-           (csv_escape s.series)
-           (csv_escape (labels_field s.labels))
+           (Metrics.Table.csv_escape s.series)
+           (Metrics.Table.csv_escape (labels_field s.labels))
            s.time
            (Store.float_repr s.value)))
     (Store.samples store);
@@ -137,13 +100,13 @@ let to_csv buf store =
     (fun (v : Store.violation) ->
       Buffer.add_string buf
         (Printf.sprintf "violation,%s,%s,%d,%s,%s,%s,%s\n"
-           (csv_escape v.invariant)
-           (csv_escape (labels_field v.v_labels))
+           (Metrics.Table.csv_escape v.invariant)
+           (Metrics.Table.csv_escape (labels_field v.v_labels))
            v.v_time
            (Store.float_repr v.observed)
            (Store.float_repr v.bound)
-           (csv_escape v.detail)
-           (csv_escape (blame_field v.blame))))
+           (Metrics.Table.csv_escape v.detail)
+           (Metrics.Table.csv_escape (blame_field v.blame))))
     (Store.violations store)
 
 let jsonl_string store =

@@ -4,7 +4,9 @@
     in canonical order — with a fixed key order and the shared
     {!Store.float_repr} number format, so the same recorded data always
     yields the same bytes regardless of worker count or recording order
-    (CI diffs the output across reruns and [-j] values). *)
+    (CI diffs the output across reruns and [-j] values).  JSON string
+    literals go through {!Metrics.Json.add_string} and CSV fields through
+    {!Metrics.Table.csv_escape}, the codecs every nowlib export shares. *)
 
 val to_jsonl : Buffer.t -> Store.t -> unit
 (** One JSON object per line: every sample
@@ -23,7 +25,7 @@ val to_csv : Buffer.t -> Store.t -> unit
     holds the invariant, value column the observed value, blame the
     [|]-joined causal window).  Labels are joined as [k=v;k=v] with
     [;]/[=]/[\] backslash-escaped inside keys and values; fields are
-    quoted per RFC 4180 when needed. *)
+    then quoted by {!Metrics.Table.csv_escape} when needed. *)
 
 val jsonl_string : Store.t -> string
 (** {!to_jsonl} into a fresh string. *)

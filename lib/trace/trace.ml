@@ -333,20 +333,7 @@ let items dump =
 (* Serialisation                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
+let json_string = Metrics.Json.quote
 
 let attrs_json attrs =
   let sorted = List.sort (fun (a, _) (b, _) -> compare a b) attrs in

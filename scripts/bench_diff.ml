@@ -12,7 +12,8 @@
         offending experiments are re-listed with both wall times after
         the summary line, so the blocking reason is visible without
         scrolling the full report.
-     2  format error (missing file, unparsable JSON, wrong format version)
+     2  format error (missing or unreadable file, unparsable JSON, wrong
+        format version)
 
    Caller-domain allocation aggregates (alloc_bytes, present since the
    telemetry layer landed) are compared in a purely informational band:
@@ -27,45 +28,13 @@
    deterministic fields gate. *)
 
 (* ------------------------------------------------------------------ *)
-(* Accessors                                                           *)
+(* Loading                                                             *)
 (* ------------------------------------------------------------------ *)
 
-open Minijson
-
-let format_error fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "bench_diff: format error: %s\n" msg;
-      exit 2)
-    fmt
-
-let member name = function
-  | Obj fields -> (
-    match List.assoc_opt name fields with
-    | Some v -> v
-    | None -> format_error "missing field %S" name)
-  | _ -> format_error "expected an object holding %S" name
-
-let to_num name = function
-  | Num f -> f
-  | Null -> nan
-  | _ -> format_error "field %S is not a number" name
-
-let num name j = to_num name (member name j)
-
-(* Optional numeric field: [None] when absent or non-numeric — used for
-   fields newer than some committed baselines (alloc_bytes). *)
-let num_opt name = function
-  | Obj fields -> (
-    match List.assoc_opt name fields with Some (Num f) -> Some f | _ -> None)
-  | _ -> None
+open Bench_json
 
 let load path =
-  if not (Sys.file_exists path) then format_error "no such file: %s" path;
-  let ic = open_in_bin path in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let j = try parse_json data with Parse_error m -> format_error "%s: %s" path m in
+  let j = parse_or_exit ~where:path (read_file path) in
   if num "format" j <> 1.0 then format_error "%s: unknown format version" path;
   j
 

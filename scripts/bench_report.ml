@@ -7,36 +7,12 @@
 
    Usage:  dune exec scripts/bench_report.exe -- HISTORY.jsonl OUT.html
 
-   Exit codes follow bench_diff: 0 rendered, 2 format error (missing
-   file, unparsable line, wrong format version).  The document embeds
-   everything (styles, charts) — no external assets — so it can be
+   Exit codes follow bench_diff: 0 rendered, 2 format error (missing or
+   unreadable file, unparsable line, wrong format version).  The document
+   embeds everything (styles, charts) — no external assets — so it can be
    archived as a CI artifact and opened anywhere. *)
 
-open Minijson
-
-let format_error fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "bench_report: format error: %s\n" msg;
-      exit 2)
-    fmt
-
-let member name = function
-  | Obj fields -> (
-    match List.assoc_opt name fields with
-    | Some v -> v
-    | None -> format_error "missing field %S" name)
-  | _ -> format_error "expected an object holding %S" name
-
-let num name j =
-  match member name j with
-  | Num f -> f
-  | _ -> format_error "field %S is not a number" name
-
-let num_opt name = function
-  | Obj fields -> (
-    match List.assoc_opt name fields with Some (Num f) -> Some f | _ -> None)
-  | _ -> None
+open Bench_json
 
 type run = {
   mode : string;
@@ -46,10 +22,7 @@ type run = {
 }
 
 let parse_line lineno line =
-  let j =
-    try parse_json line
-    with Parse_error m -> format_error "line %d: %s" lineno m
-  in
+  let j = parse_or_exit ~where:(Printf.sprintf "line %d" lineno) line in
   if num "format" j <> 1.0 then
     format_error "line %d: unknown format version" lineno;
   let mode =
@@ -79,12 +52,8 @@ let parse_line lineno line =
   { mode; stamp = num "stamp" j; cells }
 
 let load path =
-  if not (Sys.file_exists path) then format_error "no such file: %s" path;
-  let ic = open_in_bin path in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
   let lines =
-    String.split_on_char '\n' data
+    String.split_on_char '\n' (read_file path)
     |> List.filter (fun l -> String.trim l <> "")
   in
   if lines = [] then format_error "%s: empty history" path;

@@ -159,6 +159,87 @@ let test_export_rejects_garbage () =
   checkb "missing key rejected" true
     (Result.is_error (Audit.Export.of_jsonl "{\"step\":1}\n"))
 
+(* Frames whose label keys and values and subsystems are arbitrary byte
+   strings: control bytes, quotes, backslashes and bytes >= 0x80 included. *)
+let frames_arb =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (3, map Char.chr (int_range 0 255));
+        (1, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\x7f'; '\x80'; '\xff' ]);
+      ]
+  in
+  let name = string_size ~gen:byte (int_range 0 8) in
+  let frame =
+    map4
+      (fun f_labels step subsystem digest ->
+        { Audit.Recorder.f_labels; step; subsystem; digest })
+      (list_size (int_range 0 3) (pair name name))
+      (oneof [ small_nat; int_range (-(1 lsl 52)) (1 lsl 52) ])
+      name ui64
+  in
+  QCheck.make
+    ~print:(fun fs -> String.escaped (Audit.Export.frames_to_jsonl fs))
+    (list_size (int_range 0 6) frame)
+
+let prop_export_round_trip_any_bytes =
+  QCheck.Test.make ~name:"any-byte frames survive export" ~count:300
+    frames_arb (fun fs ->
+      Audit.Export.of_jsonl (Audit.Export.frames_to_jsonl fs) = Ok fs)
+
+(* Every truncation and single-byte substitution of a valid stream is an
+   [Ok] or an [Error]; an exception fails the test. *)
+let test_export_reader_never_raises () =
+  let stream =
+    Audit.Export.frames_to_jsonl
+      [
+        {
+          Audit.Recorder.f_labels = [ ("cell", "0") ];
+          step = 2;
+          subsystem = "rng";
+          digest = 0x5a178cd5b0d75335L;
+        };
+        {
+          Audit.Recorder.f_labels = [ ("cell", "1\t") ];
+          step = 4;
+          subsystem = "ledger";
+          digest = -1L;
+        };
+      ]
+  in
+  let reads s = match Audit.Export.of_jsonl s with Ok _ | Error _ -> () in
+  let n = String.length stream in
+  for len = 0 to n - 1 do
+    reads (String.sub stream 0 len)
+  done;
+  let b = Bytes.of_string stream in
+  for i = 0 to n - 1 do
+    let orig = Bytes.get b i in
+    for c = 0 to 255 do
+      Bytes.set b i (Char.chr c);
+      reads (Bytes.to_string b)
+    done;
+    Bytes.set b i orig
+  done;
+  let line ?(digest = "0000000000000001") ?(step = "3") ?(extra = "") () =
+    Printf.sprintf {|{"digest":"%s","labels":{},"step":%s,"subsystem":"rng"%s}|}
+      digest step extra
+  in
+  let error s = Result.is_error (Audit.Export.of_jsonl s) in
+  checkb "valid frame" false (error (line ()));
+  checkb "key order is free" true
+    (Audit.Export.of_jsonl
+       {|{"subsystem":"rng","step":3,"labels":{},"digest":"0000000000000001"}|}
+    = Audit.Export.of_jsonl (line ()));
+  checkb "unknown key" true (error (line ~extra:{|,"x":1|} ()));
+  checkb "non-integral step" true (error (line ~step:"3.5" ()));
+  checkb "bad digest" true (error (line ~digest:"00000001" ()));
+  checks "error names the line" "line 3: unknown key \"x\""
+    (match Audit.Export.of_jsonl (line () ^ "\n\n{\"x\":1}\n") with
+    | Error msg -> msg
+    | Ok _ -> "accepted")
+
 (* ---------- bisection ---------- *)
 
 let static_spec ~steps =
@@ -255,6 +336,9 @@ let suite =
     Alcotest.test_case "export round trip" `Quick test_export_round_trip;
     Alcotest.test_case "export rejects garbage" `Quick
       test_export_rejects_garbage;
+    QCheck_alcotest.to_alcotest prop_export_round_trip_any_bytes;
+    Alcotest.test_case "export reader never raises" `Quick
+      test_export_reader_never_raises;
     Alcotest.test_case "bisect localises an rng perturbation" `Quick
       test_bisect_localises_rng_perturbation;
     Alcotest.test_case "bisect agreement is none" `Quick

@@ -1,10 +1,12 @@
-(* Tests for the metrics library: stats, histograms, ledger, tables, fits. *)
+(* Tests for the metrics library: stats, histograms, ledger, tables, fits
+   and the JSON codec. *)
 
 module Stats = Metrics.Stats
 module Histogram = Metrics.Histogram
 module Ledger = Metrics.Ledger
 module Table = Metrics.Table
 module Fit = Metrics.Fit
+module Json = Metrics.Json
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -150,6 +152,16 @@ let test_table_csv () =
     (let lines = String.split_on_char '\n' csv in
      List.nth lines 1 = "\"x,y\",7")
 
+let test_table_csv_quotes_cr () =
+  let t = Table.create ~title:"demo" ~columns:[ "a"; "b" ] in
+  Table.add_row t [ Table.S "x\ry"; Table.I 7 ];
+  let lines = String.split_on_char '\n' (Table.to_csv t) in
+  Alcotest.check Alcotest.string "CR cell quoted" "\"x\ry\",7" (List.nth lines 1);
+  Alcotest.check Alcotest.string "plain cell untouched" "plain"
+    (Table.csv_escape "plain");
+  Alcotest.check Alcotest.string "quotes doubled" "\"a\"\"b\""
+    (Table.csv_escape "a\"b")
+
 let test_cells () =
   Alcotest.check Alcotest.string "int" "7" (Table.cell_to_string (Table.I 7));
   Alcotest.check Alcotest.string "f2" "2.50" (Table.cell_to_string (Table.F2 2.5));
@@ -191,6 +203,129 @@ let test_fit_errors () =
   Alcotest.check_raises "negative power-law input"
     (Invalid_argument "Fit.power_law: points must be positive") (fun () ->
       ignore (Fit.power_law [ (-1.0, 2.0); (2.0, 3.0) ]))
+
+(* --- JSON codec --- *)
+
+let test_json_writer_rule () =
+  Alcotest.check Alcotest.string "escapes"
+    "\"q\\\"b\\\\n\\nt\\u0009r\\u000dz\\u0000\x7f\xff\""
+    (Json.quote "q\"b\\n\nt\tr\rz\000\x7f\xff");
+  let buf = Buffer.create 8 in
+  Buffer.add_char buf '[';
+  Json.add_string buf "id";
+  Alcotest.check Alcotest.string "add_string appends" "[\"id\"" (Buffer.contents buf)
+
+let test_json_reader () =
+  let ok s = match Json.parse s with Ok v -> v | Error e -> Alcotest.fail e in
+  checkb "document" true
+    (ok " {\"a\": [1, -2.5e1, true, false, null], \"b\": {}, \"a\": \"x\"} "
+    = Json.Obj
+        [
+          ( "a",
+            Json.Arr
+              [ Json.Num 1.; Json.Num (-25.); Json.Bool true; Json.Bool false; Json.Null ]
+          );
+          ("b", Json.Obj []);
+          ("a", Json.Str "x");
+        ]);
+  checkb "escapes" true
+    (ok {|"\/\t\r\b\f\u0041\u00e9"|} = Json.Str "/\t\r\b\012A?");
+  let error s = Result.is_error (Json.parse s) in
+  checkb "empty" true (error "");
+  checkb "trailing garbage" true (error "1 2");
+  checkb "bad escape" true (error {|"\x"|});
+  checkb "bad \\u" true (error {|"\u12g4"|});
+  checkb "unterminated" true (error {|{"a":"b|});
+  checkb "deep nesting" true (error (String.make 100_000 '['));
+  match Json.parse "[1,]" with
+  | Error msg ->
+    Alcotest.check Alcotest.string "offset named" "bad number \"\" at byte 3" msg
+  | Ok _ -> Alcotest.fail "accepted [1,]"
+
+(* Any byte, with JSON's special characters over-represented. *)
+let byte_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map Char.chr (int_range 0 255));
+        ( 1,
+          oneofl
+            [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\x1f'; '\x7f'; '\x80'; '\xff' ] );
+      ])
+
+let prop_json_string_round_trip =
+  QCheck.Test.make ~name:"json: parse (quote s) = Str s" ~count:500
+    (QCheck.string_gen byte_gen)
+    (fun s -> Json.parse (Json.quote s) = Ok (Json.Str s))
+
+(* An exception escaping [Json.parse] fails the test. *)
+let parse_returns s = match Json.parse s with Ok _ | Error _ -> ()
+
+let prop_json_random_bytes =
+  QCheck.Test.make ~name:"json: parse never raises on random bytes" ~count:500
+    QCheck.(
+      string_gen
+        Gen.(
+          frequency
+            [
+              (1, byte_gen);
+              (3, oneofl (List.of_seq (String.to_seq "{}[],:\"\\u0-e.tn ")));
+            ]))
+    (fun s ->
+      parse_returns s;
+      true)
+
+(* Every truncation and every single-byte substitution of [doc]. *)
+let damaged_copies_parse doc =
+  let n = String.length doc in
+  for len = 0 to n - 1 do
+    parse_returns (String.sub doc 0 len)
+  done;
+  let b = Bytes.of_string doc in
+  for i = 0 to n - 1 do
+    let orig = Bytes.get b i in
+    for c = 0 to 255 do
+      Bytes.set b i (Char.chr c);
+      parse_returns (Bytes.to_string b)
+    done;
+    Bytes.set b i orig
+  done
+
+let test_json_hostile_documents () =
+  let frames =
+    List.map
+      (fun (cell, step, subsystem, digest) ->
+        {
+          Audit.Recorder.f_labels = [ ("cell", cell); ("scenario", "msg\t\"x\"") ];
+          step;
+          subsystem;
+          digest;
+        })
+      [ ("0", 2, "honesty", 0x5a178cd5b0d75335L); ("1", 4, "rng\r", -1L) ]
+  in
+  let audit = Audit.Export.frames_to_jsonl frames in
+  List.iter
+    (fun line -> checkb "audit line parses" true (Result.is_ok (Json.parse line)))
+    (List.filter (( <> ) "") (String.split_on_char '\n' audit));
+  damaged_copies_parse audit;
+  let monitor =
+    {|{
+  "format": 1,
+  "mode": "quick",
+  "experiments": [
+    {"id": "E1", "ok": true, "rows": 6, "wall_seconds": 0.213, "alloc_bytes": 71736715}
+  ],
+  "invariants": {
+    "samples": 3032,
+    "honest_frac_min": 0.6,
+    "expansion_min": null,
+    "violations_by_invariant": {"cluster.honest_frac": 64}
+  }
+}
+|}
+  in
+  checkb "monitor document parses" true (Result.is_ok (Json.parse monitor));
+  damaged_copies_parse monitor
 
 (* --- property tests --- *)
 
@@ -241,6 +376,7 @@ let suite =
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table row mismatch" `Quick test_table_row_mismatch;
     Alcotest.test_case "table csv" `Quick test_table_csv;
+    Alcotest.test_case "table csv quotes CR" `Quick test_table_csv_quotes_cr;
     Alcotest.test_case "cell formatting" `Quick test_cells;
     Alcotest.test_case "fit linear exact" `Quick test_fit_linear_exact;
     Alcotest.test_case "fit linear noise" `Quick test_fit_linear_noise;
@@ -250,4 +386,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_stats_mean_in_range;
     QCheck_alcotest.to_alcotest prop_merge_matches_sequential;
     QCheck_alcotest.to_alcotest prop_histogram_conserves;
+    Alcotest.test_case "json writer rule" `Quick test_json_writer_rule;
+    Alcotest.test_case "json reader" `Quick test_json_reader;
+    Alcotest.test_case "json hostile documents" `Quick test_json_hostile_documents;
+    QCheck_alcotest.to_alcotest prop_json_string_round_trip;
+    QCheck_alcotest.to_alcotest prop_json_random_bytes;
   ]

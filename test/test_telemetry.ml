@@ -356,6 +356,40 @@ let test_bench_report_smoke () =
     Sys.remove out
   end
 
+(* A path that exists but cannot be read as a file is reported like a
+   malformed file: exit 2 and a format error on stderr, no exception. *)
+let test_scripts_reject_a_directory () =
+  if not scripts_available then ()
+  else begin
+    let dir = Filename.get_temp_dir_name () in
+    let err = Filename.temp_file "script_stderr" ".txt" in
+    let run cmd =
+      Sys.command (Printf.sprintf "%s > /dev/null 2> %s" cmd (Filename.quote err))
+    in
+    let stderr_says_format_error () =
+      let ic = open_in err in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let needle = "format error" in
+      let nl = String.length needle in
+      let rec go i =
+        i + nl <= String.length text && (String.sub text i nl = needle || go (i + 1))
+      in
+      go 0
+    in
+    checki "bench_diff on a directory exits 2" 2
+      (run
+         (Printf.sprintf "../scripts/bench_diff.exe %s %s" (Filename.quote dir)
+            (Filename.quote dir)));
+    checkb "bench_diff reports a format error" true (stderr_says_format_error ());
+    checki "bench_report on a directory exits 2" 2
+      (run
+         (Printf.sprintf "../scripts/bench_report.exe %s %s" (Filename.quote dir)
+            (Filename.quote (Filename.concat dir "unused.html"))));
+    checkb "bench_report reports a format error" true (stderr_says_format_error ());
+    Sys.remove err
+  end
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_count_sum_max_exact;
@@ -374,4 +408,6 @@ let suite =
     Alcotest.test_case "bench_diff exit codes" `Quick
       test_bench_diff_exit_codes;
     Alcotest.test_case "bench_report smoke" `Quick test_bench_report_smoke;
+    Alcotest.test_case "bench scripts reject a directory" `Quick
+      test_scripts_reject_a_directory;
   ]
