@@ -1,7 +1,9 @@
 (* now_sim — command-line driver for the NOW/OVER reproduction.
 
    Sub-commands:
-     experiments   run the paper-reproduction experiment suite (E1..E13, F1-F2, A1-A2)
+     experiments   run the paper-reproduction experiment suite (E1..E15, F1-F2,
+                   A1-A2), print each family's primitive breakdown and
+                   optionally write the bench records (--monitor-json, --history)
      churn         run a free-form adversarial churn simulation
      resume        resume a churn simulation from a saved snapshot
      scenario      run a named scenario from the registry on either engine
@@ -16,7 +18,11 @@
    over lib/scenario: a scenario spec (from the registry or flags) is
    handed to the engine-agnostic drivers, and every cell derives all its
    randomness from --seed (default 42) plus the cell index — outputs are
-   byte-identical for any -j and across reruns. *)
+   byte-identical for any -j and across reruns.
+
+   Every value is checked while the command line is parsed, and every
+   file goes through [write] or [read], so bad input of either kind is a
+   "now_sim: ..." message and exit 124, never an uncaught exception. *)
 
 open Cmdliner
 
@@ -24,6 +30,62 @@ module Engine = Now_core.Engine
 module Params = Now_core.Params
 module Node = Now_core.Node
 module Rng = Prng.Rng
+
+let ( let* ) = Result.bind
+
+(* ---------------- files ---------------- *)
+
+(* A path the system refuses becomes [Error "PATH: reason"]. *)
+let guard path f =
+  match f () with
+  | v -> Ok v
+  | exception Sys_error reason ->
+    let prefix = path ^ ": " in
+    Error (if String.starts_with ~prefix reason then reason else prefix ^ reason)
+
+(* Closed inside the callback, so the final flush's error (a full disk,
+   say) reaches [guard]; [with_open_gen]'s own close would swallow it. *)
+let write ?(append = false) path data =
+  guard path (fun () ->
+      Out_channel.with_open_gen
+        [ Open_wronly; Open_creat; (if append then Open_append else Open_trunc) ]
+        0o666 path
+        (fun oc ->
+          Out_channel.output_string oc data;
+          Out_channel.close oc))
+
+let read path =
+  guard path (fun () -> In_channel.with_open_bin path In_channel.input_all)
+
+(* [write], then echo the path as every export does. *)
+let export path data =
+  let* () = write path data in
+  Printf.printf "wrote %s\n" path;
+  Ok ()
+
+let ensure_dir dir =
+  guard dir (fun () -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
+
+(* ---------------- value rules ---------------- *)
+
+let positive =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "expected a positive integer, got %d" n))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
+(* NaN fails both comparisons, so it is refused too. *)
+let fraction =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok f when f >= 0.0 && f <= 1.0 -> Ok f
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected a fraction in [0, 1], got %s" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
 
 (* ---------------- shared options ---------------- *)
 
@@ -44,18 +106,58 @@ let n_max_t =
 
 let n0_t =
   Arg.(
-    value & opt int 1000
+    value & opt positive 1000
     & info [ "n0" ] ~docv:"N0" ~doc:"Initial network size (>= sqrt N).")
 
 let k_t =
   Arg.(
-    value & opt int 8
+    value & opt positive 8
     & info [ "k" ] ~docv:"K" ~doc:"Cluster-size security parameter (|C| ~ k log2 N).")
 
 let tau_t =
   Arg.(
-    value & opt float 0.15
-    & info [ "tau" ] ~docv:"TAU" ~doc:"Fraction of Byzantine nodes (< 1/3).")
+    value & opt fraction 0.15
+    & info [ "tau" ] ~docv:"TAU" ~doc:"Global fraction of Byzantine nodes (< 1/3).")
+
+let byz_tau_t ~default =
+  Arg.(
+    value & opt fraction default
+    & info [ "byz-tau" ] ~docv:"TAU"
+        ~doc:
+          "Corrupted fraction of every message-level cluster (rounded to \
+           members); above 1/3 the honest-fraction bound breaches.")
+
+let behavior_t =
+  let behavior =
+    let parse name =
+      match Adversary.Behavior.of_name name with
+      | Ok _ -> Ok name
+      | Error msg -> Error (`Msg msg)
+    in
+    Arg.conv (parse, Format.pp_print_string)
+  in
+  Arg.(
+    value & opt behavior "equivocate"
+    & info [ "behavior" ] ~docv:"BEHAVIOR"
+        ~doc:
+          "Byzantine behaviour of the corrupted members ($(b,byz --list) \
+           shows the set).")
+
+let list_t what =
+  Arg.(
+    value & flag & info [ "list" ] ~doc:(Printf.sprintf "List the %s and exit." what))
+
+let cadence_t ~doc =
+  Arg.(value & opt positive 1 & info [ "cadence" ] ~docv:"K" ~doc)
+
+let cells_t ~doc =
+  Arg.(value & opt positive 4 & info [ "cells" ] ~docv:"CELLS" ~doc)
+
+let steps_t ~doc =
+  Arg.(value & opt (some positive) None & info [ "steps" ] ~docv:"STEPS" ~doc)
+
+let out_t ~default ~doc =
+  Arg.(value & opt string default & info [ "out" ] ~docv:"FILE" ~doc)
 
 let exact_walk_t =
   Arg.(
@@ -75,18 +177,9 @@ let verbose_t =
     & info [ "v"; "verbose" ] ~doc:"Log protocol events (splits, merges, violations).")
 
 let jobs_t =
-  let positive_int =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok j when j >= 1 -> Ok j
-      | Ok j -> Error (`Msg (Printf.sprintf "expected a positive job count, got %d" j))
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Arg.conv_printer Arg.int)
-  in
   Arg.(
     value
-    & opt (some positive_int) None
+    & opt (some positive) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the deterministic Exec pool (default: \
@@ -100,29 +193,277 @@ let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
-let make_params ~n_max ~k ~tau ~exact_walk ~no_shuffle =
-  Params.make ~n_max ~k ~tau
-    ~walk_mode:(if exact_walk then Params.Exact_walk else Params.Direct_sample)
-    ~shuffle_on_churn:(not no_shuffle) ()
+(* [Params.make] is the one judge of which n_max / k / tau combinations
+   are valid; its refusal is reported like any other bad value. *)
+let params_t ~exact_walk ~no_shuffle =
+  let make n_max k tau exact_walk no_shuffle =
+    match
+      Params.make ~n_max ~k ~tau
+        ~walk_mode:(if exact_walk then Params.Exact_walk else Params.Direct_sample)
+        ~shuffle_on_churn:(not no_shuffle) ()
+    with
+    | params -> Ok params
+    | exception Invalid_argument msg -> Error msg
+  in
+  Term.(term_result' (const make $ n_max_t $ k_t $ tau_t $ exact_walk $ no_shuffle))
 
-let make_engine ~seed ~params ~n0 ~tau =
+let make_engine ~seed ~params ~n0 =
   let rng = Rng.of_int (seed + 1) in
-  let initial = Harness.Common.initial_population rng ~n:n0 ~tau in
+  let initial = Harness.Common.initial_population rng ~n:n0 ~tau:params.Params.tau in
   Engine.create ~seed:(Int64.of_int seed) params ~initial
 
-let write_file path data =
-  let oc = open_out path in
-  output_string oc data;
-  close_out oc
+let print_catalogue catalogue =
+  List.iter (fun (name, doc) -> Printf.printf "%-14s %s\n" name doc) catalogue
+
+(* (invariant, breaches) for each run of consecutive breaches of one
+   invariant, in store order. *)
+let violation_tally store =
+  List.fold_left
+    (fun acc (v : Monitor.Store.violation) ->
+      match acc with
+      | (inv, n) :: rest when inv = v.Monitor.Store.invariant ->
+        (inv, n + 1) :: rest
+      | _ -> (v.Monitor.Store.invariant, 1) :: acc)
+    []
+    (Monitor.Store.violations store)
+  |> List.rev
 
 (* ---------------- experiments ---------------- *)
+
+let quote = Metrics.Json.quote
+
+let population rng n tau =
+  List.init n (fun _ -> if Rng.bernoulli rng tau then Node.Byzantine else Node.Honest)
+
+let small_engine ?(walk_mode = Params.Direct_sample) () =
+  let params =
+    Params.make ~n_max:(1 lsl 10) ~k:3 ~tau:0.15 ~walk_mode
+      ~shuffle_on_churn:true ()
+  in
+  let rng = Rng.create 42L in
+  Engine.create ~seed:42L params ~initial:(population rng 300 0.15)
+
+(* The dominant operation of each experiment family, run once on a small
+   seeded fixture under the trace collector; the rows show which
+   primitives the operation spends its message budget on.  Sequential and
+   fully seeded, so the table is byte-identical across runs and -j values
+   (the CI determinism gate diffs it along with the experiment tables). *)
+let breakdown_ops =
+  [
+    ( "E1/E2",
+      "exchange(C)",
+      fun () ->
+        let engine = small_engine () in
+        let tbl = Engine.table engine in
+        let cid = Now_core.Cluster_table.uniform_cluster tbl (Rng.of_int 1) in
+        ignore (Engine.exchange_cluster engine cid) );
+    ( "E5/A2",
+      "randCl (exact)",
+      fun () ->
+        let engine = small_engine ~walk_mode:Params.Exact_walk () in
+        ignore (Engine.rand_cl engine ()) );
+    ( "E7/F1",
+      "join+leave",
+      fun () ->
+        let engine = small_engine () in
+        ignore (Engine.join engine Node.Honest);
+        ignore (Engine.leave engine (Engine.random_node engine)) );
+    ( "F2",
+      "msg exchange(x)",
+      fun () ->
+        let cfg =
+          Cluster.Config.build_uniform ~rng:(Rng.of_int 12) ~n_clusters:4
+            ~cluster_size:9 ~byz_per_cluster:2 ~overlay_degree:3 ()
+        in
+        match Cluster.Exchange.exchange_node cfg ~node:3 with
+        | Ok _ | Error _ -> () );
+    ( "E12",
+      "msg join+leave",
+      fun () ->
+        let cfg =
+          Cluster.Config.build_uniform ~rng:(Rng.of_int 47) ~n_clusters:5
+            ~cluster_size:10 ~byz_per_cluster:1 ~overlay_degree:3 ()
+        in
+        (match Cluster.Ops.join cfg ~node:500_001 ~contact:0 () with
+        | Ok _ | Error _ -> ());
+        match Cluster.Ops.leave cfg ~node:500_001 () with
+        | Ok _ | Error _ -> () );
+    ( "E13",
+      "valchan vs byz",
+      fun () ->
+        let cfg =
+          Cluster.Config.build_uniform ~rng:(Rng.of_int 48)
+            ~behavior:(fun node ->
+              Agreement.Byz_behavior.Equivocate (node + 1, node + 2))
+            ~n_clusters:2 ~cluster_size:15 ~byz_per_cluster:4 ~overlay_degree:1 ()
+        in
+        ignore
+          (Cluster.Valchan.transmit cfg ~src_cluster:0 ~dst_cluster:1 ~payload:7 ()) );
+    ( "E14",
+      "async valchan",
+      fun () ->
+        let cfg =
+          Cluster.Config.build_uniform ~rng:(Rng.of_int 49) ~n_clusters:2
+            ~cluster_size:15 ~byz_per_cluster:0 ~overlay_degree:1 ()
+        in
+        let s =
+          Asim.Session.create ~rng:(Rng.of_int 50)
+            ~delay:(Asim.Delay.Uniform { mean = 1.0 }) cfg
+        in
+        ignore (Asim.Session.transmit s ~src_cluster:0 ~dst_cluster:1 ~payload:7 ()) );
+    ( "E15",
+      "exchange epoch",
+      fun () ->
+        let engine = small_engine () in
+        ignore (Engine.exchange_epoch engine) );
+  ]
+
+let run_breakdown () =
+  let table =
+    Metrics.Table.create
+      ~title:"primitive breakdown per experiment (top 3 by self messages)"
+      ~columns:
+        [ "experiment"; "operation"; "primitive"; "spans"; "self msgs"; "self rounds" ]
+  in
+  List.iter
+    (fun (experiment, op, f) ->
+      let (), dump = Trace.profiled f in
+      let rows = Trace.Report.table_rows (Trace.Report.of_dump dump) in
+      List.iteri
+        (fun i (name, spans, self_msgs, self_rounds) ->
+          if i < 3 then
+            Metrics.Table.add_row table
+              [
+                Metrics.Table.S experiment; Metrics.Table.S op;
+                Metrics.Table.S name; Metrics.Table.I spans;
+                Metrics.Table.I self_msgs; Metrics.Table.I self_rounds;
+              ])
+        rows)
+    breakdown_ops;
+  Metrics.Table.print table
+
+(* BENCH_monitor.json: per-experiment wall time + allocation + the run's
+   invariant summary, consumed by scripts/bench_diff.ml.  The wall times
+   and caller-domain allocation deltas are the only nondeterministic
+   fields — the comparator treats wall times leniently (a drift band)
+   and allocation informationally, while the invariant aggregates are
+   seeded and must match the baseline exactly. *)
+let monitor_summary ~mode ~results ~timings store =
+  let buf = Buffer.create 4096 in
+  let fr = Monitor.Store.float_repr in
+  Buffer.add_string buf "{\n  \"format\": 1,\n";
+  Buffer.add_string buf (Printf.sprintf "  \"mode\": %s,\n" (quote mode));
+  Buffer.add_string buf "  \"experiments\": [\n";
+  let sorted =
+    List.sort
+      (fun a b -> compare a.Harness.Common.id b.Harness.Common.id)
+      results
+  in
+  let rows_of r =
+    let csv = String.trim (Metrics.Table.to_csv r.Harness.Common.table) in
+    max 0 (List.length (String.split_on_char '\n' csv) - 1)
+  in
+  let last = List.length sorted - 1 in
+  List.iteri
+    (fun i r ->
+      let id = r.Harness.Common.id in
+      let wall, alloc, _ =
+        try Hashtbl.find timings id with Not_found -> (0.0, 0.0, 0.0)
+      in
+      Buffer.add_string buf
+        (Printf.sprintf
+           "    {\"id\": %s, \"ok\": %b, \"rows\": %d, \"wall_seconds\": \
+            %.3f, \"alloc_bytes\": %.0f}%s\n"
+           (quote id) r.Harness.Common.ok (rows_of r) wall alloc
+           (if i = last then "" else ",")))
+    sorted;
+  Buffer.add_string buf "  ],\n";
+  let samples = Monitor.Store.samples store in
+  let agg series op init =
+    List.fold_left
+      (fun acc (s : Monitor.Store.sample) ->
+        if s.Monitor.Store.series = series then op acc s.Monitor.Store.value
+        else acc)
+      init samples
+  in
+  let field name v =
+    Printf.sprintf "    %s: %s,\n" (quote name)
+      (if Float.is_finite v then fr v else "null")
+  in
+  Buffer.add_string buf "  \"invariants\": {\n";
+  Buffer.add_string buf
+    (Printf.sprintf "    \"samples\": %d,\n" (Monitor.Store.n_samples store));
+  Buffer.add_string buf
+    (Printf.sprintf "    \"violations\": %d,\n"
+       (Monitor.Store.n_violations store));
+  Buffer.add_string buf
+    (field "honest_frac_min" (agg "cluster.honest_frac.min" min infinity));
+  Buffer.add_string buf
+    (field "cluster_size_max" (agg "cluster.size.max" max neg_infinity));
+  Buffer.add_string buf
+    (field "overlay_degree_max" (agg "overlay.degree.max" max neg_infinity));
+  Buffer.add_string buf
+    (field "expansion_min" (agg "overlay.expansion.lower" min infinity));
+  Buffer.add_string buf "    \"violations_by_invariant\": {";
+  List.iteri
+    (fun i (inv, n) ->
+      Buffer.add_string buf
+        (Printf.sprintf "%s%s: %d" (if i = 0 then "" else ", ") (quote inv) n))
+    (violation_tally store);
+  Buffer.add_string buf "}\n  }\n}\n";
+  Buffer.contents buf
+
+(* BENCH_history.jsonl: one appended line per --history run — the perf
+   trajectory scripts/bench_report.ml renders.  Opt-in (a plain run
+   never touches the file), and stamped with real time: the history file
+   is an operator log, not a gated artifact.  peak_live_words (format 1,
+   optional field) carries the Gc-alarm footprint sample; like wall and
+   alloc it is rendered informationally and never compared. *)
+let history_entry ~mode ~results ~timings =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf
+    (Printf.sprintf "{\"format\": 1, \"mode\": %s, \"stamp\": %.0f, \
+                     \"experiments\": ["
+       (quote mode) (Unix.time ()));
+  let sorted =
+    List.sort
+      (fun a b -> compare a.Harness.Common.id b.Harness.Common.id)
+      results
+  in
+  List.iteri
+    (fun i r ->
+      let id = r.Harness.Common.id in
+      let wall, alloc, live =
+        try Hashtbl.find timings id with Not_found -> (0.0, 0.0, 0.0)
+      in
+      Buffer.add_string buf
+        (Printf.sprintf
+           "%s{\"id\": %s, \"ok\": %b, \"wall_seconds\": %.3f, \
+            \"alloc_bytes\": %.0f, \"peak_live_words\": %.0f}"
+           (if i = 0 then "" else ", ")
+           (quote id) r.Harness.Common.ok wall alloc live))
+    sorted;
+  Buffer.add_string buf "]}\n";
+  Buffer.contents buf
+
+let experiment_id =
+  let parse id =
+    match Harness.Registry.find id with
+    | Some _ -> Ok id
+    | None ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown experiment id %s; available: %s" id
+             (String.concat ", " (List.map fst Harness.Registry.all))))
+  in
+  Arg.conv (parse, Format.pp_print_string)
 
 let experiments_cmd =
   let ids_t =
     Arg.(
-      value & pos_all string []
+      value & pos_all experiment_id []
       & info [] ~docv:"ID"
-          ~doc:"Experiment ids (E1..E13, F1, F2, A1, A2); default all.")
+          ~doc:"Experiment ids (E1..E15, F1, F2, A1, A2); default all.")
   in
   let full_t =
     Arg.(value & flag & info [ "full" ] ~doc:"EXPERIMENTS.md scale (slow).")
@@ -132,9 +473,6 @@ let experiments_cmd =
       value
       & opt (some string) None
       & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each result table as DIR/<id>.csv.")
-  in
-  let list_t =
-    Arg.(value & flag & info [ "list" ] ~doc:"List the experiment ids and exit.")
   in
   let monitor_t =
     Arg.(
@@ -147,13 +485,34 @@ let experiments_cmd =
              a random stream, so every table is byte-identical with \
              monitoring on or off.")
   in
-  let cadence_t =
+  let monitor_json_t =
     Arg.(
-      value & opt int 1
-      & info [ "cadence" ] ~docv:"K"
-          ~doc:"Monitor sampling period in sim-time units (with $(b,--monitor)).")
+      value
+      & opt (some string) None
+      & info [ "monitor-json" ] ~docv:"FILE"
+          ~doc:
+            "Run under the invariant monitor and write each experiment's \
+             wall time and allocation plus the run's invariant summary to \
+             FILE ($(b,scripts/bench_diff.exe) compares two such files; the \
+             committed baseline is BENCH_monitor.json).")
   in
-  let run ids full csv list monitor_dir cadence jobs =
+  let history_t =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "history" ] ~docv:"FILE"
+          ~doc:
+            "Append one line of per-experiment wall time, allocation and \
+             peak live words to FILE ($(b,scripts/bench_report.exe) renders \
+             it; the committed log is BENCH_history.jsonl).")
+  in
+  let cadence_t =
+    cadence_t
+      ~doc:
+        "Monitor sampling period in sim-time units (with $(b,--monitor) or \
+         $(b,--monitor-json))."
+  in
+  let run ids full csv list monitor_dir monitor_json history cadence jobs =
     setup_jobs jobs;
     if list then begin
       (* Natural order: alphabetic family, then numeric suffix — so E2
@@ -174,72 +533,120 @@ let experiments_cmd =
       Harness.Registry.descriptions
       |> List.sort (fun (a, _) (b, _) -> compare (natural_key a) (natural_key b))
       |> List.iter (fun (id, desc) -> Printf.printf "%-4s %s\n" id desc);
-      `Ok ()
+      Ok ()
     end
-    else if cadence < 1 then `Error (true, "cadence must be >= 1")
     else begin
-    match List.filter (fun id -> Harness.Registry.find id = None) ids with
-    | _ :: _ as unknown ->
-      `Error
-        ( false,
-          Printf.sprintf "unknown experiment id(s): %s; available: %s"
-            (String.concat ", " unknown)
-            (String.concat ", " (List.map fst Harness.Registry.all)) )
-    | [] ->
-    let mode = if full then Harness.Common.Full else Harness.Common.Quick in
-    let store =
-      match monitor_dir with
-      | None -> None
-      | Some _ -> Some (Monitor.create ~cadence ())
-    in
-    let results =
-      match store with
-      | None -> Harness.Registry.run_ids ~mode ids
-      | Some m ->
-        Monitor.with_monitor m (fun () -> Harness.Registry.run_ids ~mode ids)
-    in
-    (match (store, monitor_dir) with
-    | Some m, Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let w name data =
-        let path = Filename.concat dir name in
-        write_file path data;
-        Printf.printf "wrote %s\n" path
+      let mode = if full then Harness.Common.Full else Harness.Common.Quick in
+      let timings = Hashtbl.create 32 in
+      let timings_mu = Mutex.create () in
+      (* Wall time plus the wrapping domain's allocation delta.  Experiments
+         fan their cells out over the Exec pool, so the delta under-counts
+         worker-domain allocation — it tracks the caller-side share, which is
+         stable enough to trend (and flagged informational in bench_diff).
+         Peak live words is sampled at major-collection boundaries (a Gc
+         alarm) plus one post-run full major — a process-wide footprint
+         measure, so concurrent experiments see each other's heap; like wall
+         and alloc it is informational only and never enters a gated byte. *)
+      let wrap id f =
+        let a0 = Gc.allocated_bytes () in
+        let peak = ref 0 in
+        let note () =
+          let lw = (Gc.quick_stat ()).Gc.live_words in
+          if lw > !peak then peak := lw
+        in
+        let alarm = Gc.create_alarm note in
+        let t0 = Unix.gettimeofday () in
+        let r = f () in
+        let dt = Unix.gettimeofday () -. t0 in
+        Gc.delete_alarm alarm;
+        Gc.full_major ();
+        note ();
+        let da = Gc.allocated_bytes () -. a0 in
+        Mutex.lock timings_mu;
+        Hashtbl.replace timings id (dt, da, float_of_int !peak);
+        Mutex.unlock timings_mu;
+        r
       in
-      w "monitor.jsonl" (Monitor.Export.jsonl_string m);
-      w "monitor.csv" (Monitor.Export.csv_string m);
-      w "monitor.html"
-        (Monitor.Dashboard.render ~title:"nowlib experiments — invariant monitor" m)
-    | _ -> ());
-    (match csv with
-    | None -> ()
-    | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      List.iter
-        (fun r ->
-          let path = Filename.concat dir (r.Harness.Common.id ^ ".csv") in
-          let oc = open_out path in
-          output_string oc (Metrics.Table.to_csv r.Harness.Common.table);
-          close_out oc;
-          Printf.printf "wrote %s\n" path)
-        results);
-    let ok = List.length (List.filter (fun r -> r.Harness.Common.ok) results) in
-    Printf.printf "==> %d/%d experiments reproduce the paper's shape.\n" ok
-      (List.length results);
-    if ok = List.length results then `Ok ()
-    else `Error (false, "some experiments mismatched")
+      (* Only the bench records read the timings, so a plain run skips the
+         per-experiment Gc alarm and full major. *)
+      let wrap = if monitor_json = None && history = None then None else Some wrap in
+      let store =
+        if monitor_dir = None && monitor_json = None then None
+        else Some (Monitor.create ~cadence ())
+      in
+      let results =
+        match store with
+        | None -> Harness.Registry.run_ids ?wrap ~mode ids
+        | Some m ->
+          Monitor.with_monitor m (fun () -> Harness.Registry.run_ids ?wrap ~mode ids)
+      in
+      let* () =
+        match (store, monitor_dir) with
+        | Some m, Some dir ->
+          let* () = ensure_dir dir in
+          let* () =
+            export (Filename.concat dir "monitor.jsonl") (Monitor.Export.jsonl_string m)
+          in
+          let* () =
+            export (Filename.concat dir "monitor.csv") (Monitor.Export.csv_string m)
+          in
+          export
+            (Filename.concat dir "monitor.html")
+            (Monitor.Dashboard.render
+               ~title:"nowlib experiments — invariant monitor" m)
+        | _ -> Ok ()
+      in
+      let* () =
+        match csv with
+        | None -> Ok ()
+        | Some dir ->
+          let* () = ensure_dir dir in
+          List.fold_left
+            (fun acc r ->
+              let* () = acc in
+              export
+                (Filename.concat dir (r.Harness.Common.id ^ ".csv"))
+                (Metrics.Table.to_csv r.Harness.Common.table))
+            (Ok ()) results
+      in
+      let ok = List.length (List.filter (fun r -> r.Harness.Common.ok) results) in
+      Printf.printf "==> %d/%d experiments reproduce the paper's shape.\n\n" ok
+        (List.length results);
+      let mode_name = if full then "full" else "quick" in
+      let* () =
+        match (store, monitor_json) with
+        | Some m, Some path ->
+          export path (monitor_summary ~mode:mode_name ~results ~timings m)
+        | _ -> Ok ()
+      in
+      let* () =
+        match history with
+        | None -> Ok ()
+        | Some path ->
+          let* () =
+            write ~append:true path (history_entry ~mode:mode_name ~results ~timings)
+          in
+          Printf.printf "appended history entry to %s\n" path;
+          Ok ()
+      in
+      run_breakdown ();
+      if ok < List.length results then exit 1;
+      Ok ()
     end
-  in
-  let term =
-    Term.(
-      ret
-        (const run $ ids_t $ full_t $ csv_t $ list_t $ monitor_t $ cadence_t
-       $ jobs_t))
   in
   Cmd.v
     (Cmd.info "experiments"
-       ~doc:"Run the paper-reproduction experiment suite (DESIGN.md section 4).")
-    term
+       ~doc:
+         "Run the paper-reproduction experiment suite (DESIGN.md section 4), \
+          then print each experiment family's primitive breakdown."
+       ~exits:
+         (Cmd.Exit.info 1
+            ~doc:"when an experiment does not reproduce the paper's shape."
+         :: Cmd.Exit.defaults))
+    Term.(
+      term_result'
+        (const run $ ids_t $ full_t $ csv_t $ list_t "experiment ids" $ monitor_t
+       $ monitor_json_t $ history_t $ cadence_t $ jobs_t))
 
 (* ---------------- churn ---------------- *)
 
@@ -247,18 +654,12 @@ let strategy_t =
   Arg.(
     value & opt string "random"
     & info [ "strategy" ] ~docv:"STRATEGY"
-        ~doc:"Adversary strategy ($(b,--list-strategies) shows the set).")
+        ~doc:"Adversary strategy ($(b,churn --list) shows the set).")
 
-let list_strategies_t =
-  Arg.(
-    value & flag
-    & info [ "list-strategies" ] ~doc:"List the adversary strategies and exit.")
-
-let print_catalogue catalogue =
-  List.iter (fun (name, doc) -> Printf.printf "%-14s %s\n" name doc) catalogue
-
-let steps_t =
-  Arg.(value & opt int 2000 & info [ "steps" ] ~docv:"STEPS" ~doc:"Time steps to run.")
+let churn_steps_t =
+  Term.(
+    const (Option.value ~default:2000)
+    $ steps_t ~doc:"Time steps to run (default 2000).")
 
 let snapshot_out_t =
   Arg.(
@@ -267,7 +668,8 @@ let snapshot_out_t =
     & info [ "save-snapshot" ] ~docv:"FILE"
         ~doc:"Write the final engine state to FILE (resume with $(b,resume)).")
 
-let drive_and_report ~engine ~seed ~tau ~strategy ~steps ~snapshot_out =
+let drive_and_report ~engine ~seed ~strategy ~steps ~snapshot_out =
+  let tau = (Engine.params engine).Params.tau in
   let driver =
     Adversary.create ~seed:(Int64.of_int (seed + 7)) ~tau ~strategy engine
   in
@@ -298,45 +700,37 @@ let drive_and_report ~engine ~seed ~tau ~strategy ~steps ~snapshot_out =
     t.Engine.total_joins t.Engine.total_leaves t.Engine.total_splits
     t.Engine.total_merges t.Engine.total_rejoins;
   match snapshot_out with
-  | None -> ()
+  | None -> Ok ()
   | Some path ->
-    let oc = open_out path in
-    output_string oc (Engine.save engine);
-    close_out oc;
-    Printf.printf "  snapshot saved        : %s\n" path
+    let* () = write path (Engine.save engine) in
+    Printf.printf "  snapshot saved        : %s\n" path;
+    Ok ()
 
 let churn_cmd =
-  let run seed n_max n0 k tau exact_walk no_shuffle strategy steps verbose
-      snapshot_out list_strategies =
-    if list_strategies then begin
+  let run seed params n0 strategy steps verbose snapshot_out list =
+    if list then begin
       print_catalogue Adversary.strategy_catalogue;
-      `Ok ()
+      Ok ()
     end
     else
-      match Adversary.strategy_of_name ~steps strategy with
-      | Error msg -> `Error (false, msg)
-      | Ok strategy ->
-        setup_logs verbose;
-        let params = make_params ~n_max ~k ~tau ~exact_walk ~no_shuffle in
-        Printf.printf "parameters: %s\n" (Format.asprintf "%a" Params.pp params);
-        let engine = make_engine ~seed ~params ~n0 ~tau in
-        Printf.printf "initialised: n=%d clusters=%d min honest=%.3f\n%!"
-          (Engine.n_nodes engine) (Engine.n_clusters engine)
-          (Engine.min_honest_fraction engine);
-        drive_and_report ~engine ~seed ~tau ~strategy ~steps ~snapshot_out;
-        `Ok ()
-  in
-  let term =
-    Term.(
-      ret
-        (const run $ seed_t $ n_max_t $ n0_t $ k_t $ tau_t $ exact_walk_t
-       $ no_shuffle_t $ strategy_t $ steps_t $ verbose_t $ snapshot_out_t
-       $ list_strategies_t))
+      let* strategy = Adversary.strategy_of_name ~steps strategy in
+      setup_logs verbose;
+      Printf.printf "parameters: %s\n" (Format.asprintf "%a" Params.pp params);
+      let engine = make_engine ~seed ~params ~n0 in
+      Printf.printf "initialised: n=%d clusters=%d min honest=%.3f\n%!"
+        (Engine.n_nodes engine) (Engine.n_clusters engine)
+        (Engine.min_honest_fraction engine);
+      drive_and_report ~engine ~seed ~strategy ~steps ~snapshot_out
   in
   Cmd.v
     (Cmd.info "churn"
        ~doc:"Run an adversarial churn simulation and report safety metrics.")
-    term
+    Term.(
+      term_result'
+        (const run $ seed_t
+        $ params_t ~exact_walk:exact_walk_t ~no_shuffle:no_shuffle_t
+        $ n0_t $ strategy_t $ churn_steps_t $ verbose_t $ snapshot_out_t
+        $ list_t "adversary strategies"))
 
 (* ---------------- resume ---------------- *)
 
@@ -348,30 +742,20 @@ let resume_cmd =
       & info [ "snapshot" ] ~docv:"FILE" ~doc:"Snapshot written by $(b,churn --save-snapshot).")
   in
   let run seed snapshot_path strategy steps verbose snapshot_out =
-    match Adversary.strategy_of_name ~steps strategy with
-    | Error msg -> `Error (false, msg)
-    | Ok strategy ->
-      setup_logs verbose;
-      let ic = open_in snapshot_path in
-      let len = in_channel_length ic in
-      let data = really_input_string ic len in
-      close_in ic;
-      let engine = Engine.load data in
-      let tau = (Engine.params engine).Params.tau in
-      Printf.printf "resumed: n=%d clusters=%d at time step %d\n%!"
-        (Engine.n_nodes engine) (Engine.n_clusters engine) (Engine.time_step engine);
-      drive_and_report ~engine ~seed ~tau ~strategy ~steps ~snapshot_out;
-      `Ok ()
-  in
-  let term =
-    Term.(
-      ret
-        (const run $ seed_t $ snapshot_in_t $ strategy_t $ steps_t $ verbose_t
-       $ snapshot_out_t))
+    let* strategy = Adversary.strategy_of_name ~steps strategy in
+    setup_logs verbose;
+    let* data = read snapshot_path in
+    let engine = Engine.load data in
+    Printf.printf "resumed: n=%d clusters=%d at time step %d\n%!"
+      (Engine.n_nodes engine) (Engine.n_clusters engine) (Engine.time_step engine);
+    drive_and_report ~engine ~seed ~strategy ~steps ~snapshot_out
   in
   Cmd.v
     (Cmd.info "resume" ~doc:"Resume a churn simulation from a saved snapshot.")
-    term
+    Term.(
+      term_result'
+        (const run $ seed_t $ snapshot_in_t $ strategy_t $ churn_steps_t $ verbose_t
+       $ snapshot_out_t))
 
 (* ---------------- byz ---------------- *)
 
@@ -380,127 +764,108 @@ let resume_cmd =
    through all four primitives under a trace collector; every injected
    deviation surfaces as a byz.* point, counted and reported. *)
 let byz_cmd =
-  let behavior_t =
-    Arg.(
-      value & opt string "equivocate"
-      & info [ "behavior" ] ~docv:"BEHAVIOR"
-          ~doc:"Byzantine behaviour to inject ($(b,--list) shows the set).")
-  in
-  let byz_tau_t =
-    Arg.(
-      value & opt float 0.25
-      & info [ "tau" ] ~docv:"TAU"
-          ~doc:"Corrupted fraction of every cluster (rounded to members).")
-  in
-  let list_t =
-    Arg.(value & flag & info [ "list" ] ~doc:"List the behaviours and exit.")
-  in
   let trials_t =
     Arg.(
-      value & opt int 10
+      value & opt positive 10
       & info [ "trials" ] ~docv:"N" ~doc:"Transfers/draws/walks per primitive.")
   in
   let run behavior tau list trials seed =
     if list then begin
       print_catalogue Adversary.Behavior.catalogue;
-      `Ok ()
+      Ok ()
     end
-    else if tau < 0.0 || tau > 1.0 then `Error (true, "tau must be within [0, 1]")
-    else if trials < 1 then `Error (true, "need at least one trial")
-    else
-      match Adversary.Behavior.of_name behavior with
-      | Error msg -> `Error (false, msg)
-      | Ok _ ->
-        Trace.start ();
-        let n_clusters = 6 and cluster_size = 12 in
-        let byz_per_cluster =
-          min cluster_size
-            (int_of_float ((tau *. float_of_int cluster_size) +. 0.5))
-        in
-        (* The historical byz geometry as a scenario spec; the primitives
-           are then driven one by one through the message-level driver,
-           on the same [Rng.of_int (seed + 11)] stream as always. *)
-        let spec =
-          {
-            Scenario.Spec.default with
-            Scenario.Spec.name = "byz";
-            churn = Scenario.Spec.Static;
-            drive = Scenario.Spec.no_drive;
-            behavior = Some behavior;
-            n_clusters;
-            cluster_size;
-            overlay_degree = 3;
-            byz_per_cluster = Some byz_per_cluster;
-            randnum_range = 1_000;
-            walk_duration = None;
-          }
-        in
-        let d = Scenario.Msg_driver.of_rng ~rng:(Rng.of_int (seed + 11)) spec in
-        (* Validated transfers around the overlay. *)
-        for i = 1 to trials do
-          Scenario.Msg_driver.valchan_once d ~time:i
-        done;
-        (* randNum draws. *)
-        for i = 1 to trials do
-          Scenario.Msg_driver.randnum_once d ~time:i
-        done;
-        (* randCl walks. *)
-        for i = 1 to trials do
-          Scenario.Msg_driver.walk_once d ~time:i
-        done;
-        (* One full exchange. *)
-        let exchange_ok = Scenario.Msg_driver.exchange d in
-        let s = Scenario.Msg_driver.stats d in
-        let dump = Trace.stop () in
-        (* Tally the injected deviations (the byz.-prefixed points) and the
-           honest-side detections (walk.retry, randnum.stall). *)
-        let tally = Hashtbl.create 16 in
-        List.iter
-          (fun item ->
-            match item with
-            | Trace.Mark { name; _ } ->
-              let interesting =
-                String.length name >= 4 && String.sub name 0 4 = "byz."
-                || name = "walk.retry" || name = "randnum.stall"
-              in
-              if interesting then
-                Hashtbl.replace tally name
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt tally name))
-            | Trace.Span _ -> ())
-          (Trace.items dump);
-        Printf.printf "behavior %s at tau %.2f: %d/%d corrupted per cluster\n\n"
-          behavior tau byz_per_cluster cluster_size;
-        Printf.printf "  valchan : %d transfers — %d honest-accepted, %d forged, %d rejected\n"
-          trials s.Scenario.Stats.valchan_accepted s.Scenario.Stats.valchan_forged
-          s.Scenario.Stats.valchan_rejected;
-        Printf.printf "  randnum : %d draws — %d stalled, %d insecure\n" trials
-          s.Scenario.Stats.randnum_stalls s.Scenario.Stats.randnum_insecure;
-        Printf.printf "  randcl  : %d walks — %d completed (%d hop retries), %d failed\n"
-          trials s.Scenario.Stats.walks_ok s.Scenario.Stats.walk_retries
-          s.Scenario.Stats.walks_failed;
-        Printf.printf "  exchange: %s\n\n" (if exchange_ok then "completed" else "failed");
-        let deviations =
-          Hashtbl.fold (fun name c acc -> (name, c) :: acc) tally []
-          |> List.sort compare
-        in
-        if deviations = [] then print_endline "  no deviation points recorded"
-        else begin
-          print_endline "  deviation / detection points:";
-          List.iter (fun (name, c) -> Printf.printf "    %-24s %6d\n" name c) deviations
-        end;
-        print_newline ();
-        print_string (Trace.Report.render (Trace.Report.of_dump dump));
-        `Ok ()
-  in
-  let term =
-    Term.(ret (const run $ behavior_t $ byz_tau_t $ list_t $ trials_t $ seed_t))
+    else begin
+      Trace.start ();
+      let n_clusters = 6 and cluster_size = 12 in
+      let byz_per_cluster =
+        min cluster_size
+          (int_of_float ((tau *. float_of_int cluster_size) +. 0.5))
+      in
+      (* The historical byz geometry as a scenario spec; the primitives
+         are then driven one by one through the message-level driver,
+         on the same [Rng.of_int (seed + 11)] stream as always. *)
+      let spec =
+        {
+          Scenario.Spec.default with
+          Scenario.Spec.name = "byz";
+          churn = Scenario.Spec.Static;
+          drive = Scenario.Spec.no_drive;
+          behavior = Some behavior;
+          n_clusters;
+          cluster_size;
+          overlay_degree = 3;
+          byz_per_cluster = Some byz_per_cluster;
+          randnum_range = 1_000;
+          walk_duration = None;
+        }
+      in
+      let d = Scenario.Msg_driver.of_rng ~rng:(Rng.of_int (seed + 11)) spec in
+      (* Validated transfers around the overlay. *)
+      for i = 1 to trials do
+        Scenario.Msg_driver.valchan_once d ~time:i
+      done;
+      (* randNum draws. *)
+      for i = 1 to trials do
+        Scenario.Msg_driver.randnum_once d ~time:i
+      done;
+      (* randCl walks. *)
+      for i = 1 to trials do
+        Scenario.Msg_driver.walk_once d ~time:i
+      done;
+      (* One full exchange. *)
+      let exchange_ok = Scenario.Msg_driver.exchange d in
+      let s = Scenario.Msg_driver.stats d in
+      let dump = Trace.stop () in
+      (* Tally the injected deviations (the byz.-prefixed points) and the
+         honest-side detections (walk.retry, randnum.stall). *)
+      let tally = Hashtbl.create 16 in
+      List.iter
+        (fun item ->
+          match item with
+          | Trace.Mark { name; _ } ->
+            let interesting =
+              String.length name >= 4 && String.sub name 0 4 = "byz."
+              || name = "walk.retry" || name = "randnum.stall"
+            in
+            if interesting then
+              Hashtbl.replace tally name
+                (1 + Option.value ~default:0 (Hashtbl.find_opt tally name))
+          | Trace.Span _ -> ())
+        (Trace.items dump);
+      Printf.printf "behavior %s at tau %.2f: %d/%d corrupted per cluster\n\n"
+        behavior tau byz_per_cluster cluster_size;
+      Printf.printf "  valchan : %d transfers — %d honest-accepted, %d forged, %d rejected\n"
+        trials s.Scenario.Stats.valchan_accepted s.Scenario.Stats.valchan_forged
+        s.Scenario.Stats.valchan_rejected;
+      Printf.printf "  randnum : %d draws — %d stalled, %d insecure\n" trials
+        s.Scenario.Stats.randnum_stalls s.Scenario.Stats.randnum_insecure;
+      Printf.printf "  randcl  : %d walks — %d completed (%d hop retries), %d failed\n"
+        trials s.Scenario.Stats.walks_ok s.Scenario.Stats.walk_retries
+        s.Scenario.Stats.walks_failed;
+      Printf.printf "  exchange: %s\n\n" (if exchange_ok then "completed" else "failed");
+      let deviations =
+        Hashtbl.fold (fun name c acc -> (name, c) :: acc) tally []
+        |> List.sort compare
+      in
+      if deviations = [] then print_endline "  no deviation points recorded"
+      else begin
+        print_endline "  deviation / detection points:";
+        List.iter (fun (name, c) -> Printf.printf "    %-24s %6d\n" name c) deviations
+      end;
+      print_newline ();
+      print_string (Trace.Report.render (Trace.Report.of_dump dump));
+      Ok ()
+    end
   in
   Cmd.v
     (Cmd.info "byz"
        ~doc:
          "Inject a Byzantine behaviour into the message engine and report \
           every deviation.")
-    term
+    Term.(
+      term_result'
+        (const run $ behavior_t $ byz_tau_t ~default:0.25 $ list_t "behaviours"
+       $ trials_t $ seed_t))
 
 (* ---------------- shared scenario-cell options ---------------- *)
 
@@ -545,30 +910,23 @@ let scenario_name_t ~default =
               e.g. $(b,flash-crowd:size=400,at=100)."
              default))
 
-let opt_steps_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "steps" ] ~docv:"STEPS"
-        ~doc:"Operations per cell (default: the scenario's own step count).")
-
-let cells_t ~doc =
-  Arg.(value & opt int 4 & info [ "cells" ] ~docv:"CELLS" ~doc)
+let cell_steps_t =
+  steps_t ~doc:"Operations per cell (default: the scenario's own step count)."
 
 (* Resolve the CLI's scenario choices into a runnable spec, or a
    CLI-friendly error. *)
-let resolve_spec ~engine ~scenario ~steps =
-  match Scenario.of_name ?steps scenario with
-  | Error msg -> Error msg
-  | Ok spec -> (
-    let spec =
-      match steps with
-      | None -> spec
-      | Some steps -> { spec with Scenario.Spec.steps }
-    in
-    match Scenario.check_supported engine spec with
-    | Error msg -> Error msg
-    | Ok () -> Ok spec)
+let resolve_spec engine scenario steps =
+  let* spec = Scenario.of_name ?steps scenario in
+  let spec =
+    match steps with
+    | None -> spec
+    | Some steps -> { spec with Scenario.Spec.steps }
+  in
+  let* () = Scenario.check_supported engine spec in
+  Ok (engine, spec)
+
+let spec_t engine_t scenario_t =
+  Term.(term_result' (const resolve_spec $ engine_t $ scenario_t $ cell_steps_t))
 
 let total_messages results =
   List.fold_left
@@ -609,12 +967,6 @@ let print_exec_stats () =
 (* ---------------- trace ---------------- *)
 
 let trace_cmd =
-  let engine_t = engine_pos_t ~what:"trace" in
-  let out_t =
-    Arg.(
-      value & opt string "trace.jsonl"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSONL trace to FILE.")
-  in
   let chrome_t =
     Arg.(
       value
@@ -623,12 +975,6 @@ let trace_cmd =
           ~doc:
             "Also write a Chrome trace_event JSON to FILE (load in Perfetto \
              or chrome://tracing).")
-  in
-  let cells_t =
-    cells_t
-      ~doc:
-        "Independent simulation cells, fanned out on the Exec pool; the \
-         merged trace is byte-identical for any $(b,-j)."
   in
   let net_detail_t =
     Arg.(
@@ -648,61 +994,53 @@ let trace_cmd =
              to the profile report.  Informational: allocation is not part \
              of any byte-identity gate.")
   in
-  let run engine scenario out chrome cells steps net_detail profile_alloc
-      exec_stats seed jobs =
+  let run (engine, spec) out chrome cells net_detail profile_alloc exec_stats seed
+      jobs =
     setup_jobs jobs;
-    if cells < 1 then `Error (true, "need at least one cell")
-    else
-      match resolve_spec ~engine ~scenario ~steps with
-      | Error msg -> `Error (false, msg)
-      | Ok spec ->
-        let steps = spec.Scenario.Spec.steps in
-        Trace.start ~net_detail ~profile_alloc ();
-        let results = Scenario.cells ~engine ~seed ~cells spec in
-        let dump = Trace.stop () in
-        write_file out (Trace.to_jsonl dump);
-        (match chrome with
-        | None -> ()
-        | Some path -> write_file path (Trace.to_chrome dump));
-        let items = Trace.items dump in
-        let spans =
-          List.length
-            (List.filter (function Trace.Span _ -> true | Trace.Mark _ -> false) items)
-        in
-        Printf.printf
-          "scenario %s on %s: %d cells x %d steps, %d simulated messages\n\
-           trace: %d spans, %d items, %d dropped -> %s%s\n\n"
-          spec.Scenario.Spec.name (Scenario.engine_name engine) cells steps
-          (total_messages results) spans (List.length items) dump.Trace.dropped
-          out
-          (match chrome with None -> "" | Some p -> Printf.sprintf " (+ %s)" p);
-        print_string (Trace.Report.render (Trace.Report.of_dump dump));
-        if exec_stats then print_exec_stats ();
-        `Ok ()
-  in
-  let term =
-    Term.(
-      ret
-        (const run $ engine_t $ scenario_name_t ~default:"steady" $ out_t
-       $ chrome_t $ cells_t $ opt_steps_t $ net_detail_t $ profile_alloc_t
-       $ exec_stats_t $ seed_t $ jobs_t))
+    let steps = spec.Scenario.Spec.steps in
+    Trace.start ~net_detail ~profile_alloc ();
+    let results = Scenario.cells ~engine ~seed ~cells spec in
+    let dump = Trace.stop () in
+    let* () = write out (Trace.to_jsonl dump) in
+    let* () =
+      match chrome with None -> Ok () | Some path -> write path (Trace.to_chrome dump)
+    in
+    let items = Trace.items dump in
+    let spans =
+      List.length
+        (List.filter (function Trace.Span _ -> true | Trace.Mark _ -> false) items)
+    in
+    Printf.printf
+      "scenario %s on %s: %d cells x %d steps, %d simulated messages\n\
+       trace: %d spans, %d items, %d dropped -> %s%s\n\n"
+      spec.Scenario.Spec.name (Scenario.engine_name engine) cells steps
+      (total_messages results) spans (List.length items) dump.Trace.dropped
+      out
+      (match chrome with None -> "" | Some p -> Printf.sprintf " (+ %s)" p);
+    print_string (Trace.Report.render (Trace.Report.of_dump dump));
+    if exec_stats then print_exec_stats ();
+    Ok ()
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
          "Trace a deterministic scenario and print the per-primitive \
           profile report.")
-    term
+    Term.(
+      term_result'
+        (const run
+        $ spec_t (engine_pos_t ~what:"trace") (scenario_name_t ~default:"steady")
+        $ out_t ~default:"trace.jsonl" ~doc:"Write the JSONL trace to FILE."
+        $ chrome_t
+        $ cells_t
+            ~doc:
+              "Independent simulation cells, fanned out on the Exec pool; the \
+               merged trace is byte-identical for any $(b,-j)."
+        $ net_detail_t $ profile_alloc_t $ exec_stats_t $ seed_t $ jobs_t))
 
 (* ---------------- monitor ---------------- *)
 
 let monitor_cmd =
-  let engine_t = engine_pos_t ~what:"monitor" in
-  let out_t =
-    Arg.(
-      value & opt string "monitor.jsonl"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSONL series to FILE.")
-  in
   let csv_out_t =
     Arg.(
       value
@@ -718,186 +1056,106 @@ let monitor_cmd =
             "Also write the self-contained SVG dashboard (no external \
              assets) to FILE.")
   in
-  let cells_t =
-    cells_t
-      ~doc:
-        "Independent simulation cells, fanned out on the Exec pool; every \
-         output is byte-identical for any $(b,-j)."
-  in
-  let cadence_t =
-    Arg.(
-      value & opt int 1
-      & info [ "cadence" ] ~docv:"K"
-          ~doc:"Sample the gauges every K-th sim-time step.")
-  in
-  let behavior_t =
-    Arg.(
-      value & opt string "equivocate"
-      & info [ "behavior" ] ~docv:"BEHAVIOR"
-          ~doc:
-            "Byzantine behaviour for the msg cells ($(b,byz --list) shows \
-             the set).")
-  in
-  let byz_tau_t =
-    Arg.(
-      value & opt float 0.15
-      & info [ "byz-tau" ] ~docv:"TAU"
-          ~doc:
-            "Corrupted fraction of every msg-cell cluster; above 1/3 the \
-             honest-fraction bound breaches and the monitor records the \
-             violations.")
-  in
-  let run engine scenario out csv html cells steps cadence behavior byz_tau
-      exec_stats seed jobs =
+  let run (engine, spec) out csv html cells cadence behavior byz_tau exec_stats seed
+      jobs =
     setup_jobs jobs;
-    if cells < 1 then `Error (true, "need at least one cell")
-    else if (match steps with Some s -> s < 1 | None -> false) then
-      `Error (true, "need at least one step")
-    else if cadence < 1 then `Error (true, "cadence must be >= 1")
-    else if byz_tau < 0.0 || byz_tau > 1.0 then
-      `Error (true, "byz-tau must be within [0, 1]")
-    else
-      match Adversary.Behavior.of_name behavior with
-      | Error msg -> `Error (false, msg)
-      | Ok _ -> (
-      match resolve_spec ~engine ~scenario ~steps with
-      | Error msg -> `Error (false, msg)
-      | Ok spec ->
-        (* The monitor's msg cells always inject the requested behaviour
-           at the requested corruption level — above 1/3 the honest-
-           fraction bound breaches by construction (the demonstrated
-           violation path). *)
-        let spec =
-          {
-            spec with
-            Scenario.Spec.behavior = Some behavior;
-            byz_per_cluster =
-              Some
-                (min spec.Scenario.Spec.cluster_size
-                   (int_of_float
-                      ((byz_tau
-                       *. float_of_int spec.Scenario.Spec.cluster_size)
-                      +. 0.5)));
-          }
-        in
-        let steps = spec.Scenario.Spec.steps in
-        let store = Monitor.create ~cadence () in
-        (* The trace collector runs alongside the monitor: after the run,
-           the byz.* deviation points it gathered are folded back into the
-           store as per-window counter series. *)
-        Trace.start ();
-        let results =
-          Monitor.with_monitor store (fun () ->
-              Scenario.cells ~engine ~seed ~cells spec)
-        in
-        let dump = Trace.stop () in
-        Monitor.Probe.ingest_trace store ~labels:[ ("source", "trace") ]
-          ~bucket:50 dump;
-        write_file out (Monitor.Export.jsonl_string store);
-        Printf.printf "wrote %s\n" out;
-        (match csv with
-        | None -> ()
-        | Some p ->
-          write_file p (Monitor.Export.csv_string store);
-          Printf.printf "wrote %s\n" p);
-        (match html with
-        | None -> ()
-        | Some p ->
-          write_file p (Monitor.Dashboard.render store);
-          Printf.printf "wrote %s\n" p);
-        Printf.printf
-          "scenario %s on %s: %d cells x %d steps (cadence %d), %d simulated \
-           messages\n"
-          spec.Scenario.Spec.name (Scenario.engine_name engine) cells steps
-          cadence (total_messages results);
-        Printf.printf "samples: %d   violations: %d\n"
-          (Monitor.Store.n_samples store)
-          (Monitor.Store.n_violations store);
-        let tally =
-          List.fold_left
-            (fun acc (v : Monitor.Store.violation) ->
-              match acc with
-              | (inv, n) :: rest when inv = v.Monitor.Store.invariant ->
-                (inv, n + 1) :: rest
-              | _ -> (v.Monitor.Store.invariant, 1) :: acc)
-            []
-            (Monitor.Store.violations store)
-          |> List.rev
-        in
-        if tally <> [] then begin
-          print_endline "breached invariants:";
-          List.iter (fun (inv, n) -> Printf.printf "  %-24s %6d\n" inv n) tally
-        end;
-        if exec_stats then print_exec_stats ();
-        `Ok ())
-  in
-  let term =
-    Term.(
-      ret
-        (const run $ engine_t $ scenario_name_t ~default:"primitives" $ out_t
-       $ csv_out_t $ html_t $ cells_t $ opt_steps_t $ cadence_t $ behavior_t
-       $ byz_tau_t $ exec_stats_t $ seed_t $ jobs_t))
+    (* The monitor's msg cells always inject the requested behaviour
+       at the requested corruption level — above 1/3 the honest-
+       fraction bound breaches by construction (the demonstrated
+       violation path). *)
+    let spec =
+      {
+        spec with
+        Scenario.Spec.behavior = Some behavior;
+        byz_per_cluster =
+          Some
+            (min spec.Scenario.Spec.cluster_size
+               (int_of_float
+                  ((byz_tau
+                   *. float_of_int spec.Scenario.Spec.cluster_size)
+                  +. 0.5)));
+      }
+    in
+    let steps = spec.Scenario.Spec.steps in
+    let store = Monitor.create ~cadence () in
+    (* The trace collector runs alongside the monitor: after the run,
+       the byz.* deviation points it gathered are folded back into the
+       store as per-window counter series. *)
+    Trace.start ();
+    let results =
+      Monitor.with_monitor store (fun () ->
+          Scenario.cells ~engine ~seed ~cells spec)
+    in
+    let dump = Trace.stop () in
+    Monitor.Probe.ingest_trace store ~labels:[ ("source", "trace") ]
+      ~bucket:50 dump;
+    let* () = export out (Monitor.Export.jsonl_string store) in
+    let* () =
+      match csv with
+      | None -> Ok ()
+      | Some p -> export p (Monitor.Export.csv_string store)
+    in
+    let* () =
+      match html with
+      | None -> Ok ()
+      | Some p -> export p (Monitor.Dashboard.render store)
+    in
+    Printf.printf
+      "scenario %s on %s: %d cells x %d steps (cadence %d), %d simulated \
+       messages\n"
+      spec.Scenario.Spec.name (Scenario.engine_name engine) cells steps
+      cadence (total_messages results);
+    Printf.printf "samples: %d   violations: %d\n"
+      (Monitor.Store.n_samples store)
+      (Monitor.Store.n_violations store);
+    let tally = violation_tally store in
+    if tally <> [] then begin
+      print_endline "breached invariants:";
+      List.iter (fun (inv, n) -> Printf.printf "  %-24s %6d\n" inv n) tally
+    end;
+    if exec_stats then print_exec_stats ();
+    Ok ()
   in
   Cmd.v
     (Cmd.info "monitor"
        ~doc:
          "Time-series sample the paper's invariants over a deterministic \
           scenario and export JSONL / CSV / an SVG dashboard.")
-    term
+    Term.(
+      term_result'
+        (const run
+        $ spec_t (engine_pos_t ~what:"monitor") (scenario_name_t ~default:"primitives")
+        $ out_t ~default:"monitor.jsonl" ~doc:"Write the JSONL series to FILE."
+        $ csv_out_t $ html_t
+        $ cells_t
+            ~doc:
+              "Independent simulation cells, fanned out on the Exec pool; every \
+               output is byte-identical for any $(b,-j)."
+        $ cadence_t ~doc:"Sample the gauges every K-th sim-time step."
+        $ behavior_t $ byz_tau_t ~default:0.15 $ exec_stats_t $ seed_t $ jobs_t))
 
 (* ---------------- audit ---------------- *)
 
-let audit_cadence_t =
-  Arg.(
-    value & opt int 1
-    & info [ "cadence" ] ~docv:"K"
-        ~doc:"Record a digest frame every K-th sim-time step.")
+let audit_cadence_t = cadence_t ~doc:"Record a digest frame every K-th sim-time step."
 
 let audit_cmd =
-  let engine_t = engine_pos_t ~what:"audit" in
-  let out_t =
-    Arg.(
-      value & opt string "digests.jsonl"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the digest stream to FILE.")
-  in
-  let cells_t =
-    cells_t
-      ~doc:
-        "Independent simulation cells, fanned out on the Exec pool; the \
-         stream is byte-identical for any $(b,-j)."
-  in
-  let run engine scenario out cells steps cadence seed jobs =
+  let run (engine, spec) out cells cadence seed jobs =
     setup_jobs jobs;
-    if cells < 1 then `Error (true, "need at least one cell")
-    else if (match steps with Some s -> s < 1 | None -> false) then
-      `Error (true, "need at least one step")
-    else if cadence < 1 then `Error (true, "cadence must be >= 1")
-    else
-      match resolve_spec ~engine ~scenario ~steps with
-      | Error msg -> `Error (false, msg)
-      | Ok spec ->
-        let recorder = Audit.create ~cadence () in
-        let results =
-          Audit.with_recorder recorder (fun () ->
-              Scenario.cells ~engine ~seed ~cells spec)
-        in
-        write_file out (Audit.Export.jsonl_string recorder);
-        Printf.printf "wrote %s\n" out;
-        Printf.printf
-          "scenario %s on %s: %d cells x %d steps (cadence %d), %d simulated \
-           messages\n\
-           digest frames: %d (%d subsystems per recorded step)\n"
-          spec.Scenario.Spec.name (Scenario.engine_name engine) cells
-          spec.Scenario.Spec.steps cadence (total_messages results)
-          (Audit.Recorder.n_frames recorder)
-          (List.length Audit.Digest_of.subsystems);
-        `Ok ()
-  in
-  let term =
-    Term.(
-      ret
-        (const run $ engine_t $ scenario_name_t ~default:"steady" $ out_t
-       $ cells_t $ opt_steps_t $ audit_cadence_t $ seed_t $ jobs_t))
+    let recorder = Audit.create ~cadence () in
+    let results =
+      Audit.with_recorder recorder (fun () ->
+          Scenario.cells ~engine ~seed ~cells spec)
+    in
+    let* () = export out (Audit.Export.jsonl_string recorder) in
+    Printf.printf
+      "scenario %s on %s: %d cells x %d steps (cadence %d), %d simulated \
+       messages\n\
+       digest frames: %d (%d subsystems per recorded step)\n"
+      spec.Scenario.Spec.name (Scenario.engine_name engine) cells
+      spec.Scenario.Spec.steps cadence (total_messages results)
+      (Audit.Recorder.n_frames recorder)
+      (List.length Audit.Digest_of.subsystems);
+    Ok ()
   in
   Cmd.v
     (Cmd.info "audit"
@@ -905,7 +1163,16 @@ let audit_cmd =
          "Record the flight recorder's canonical per-subsystem digest \
           stream over a deterministic scenario (compare runs with \
           $(b,bisect)).")
-    term
+    Term.(
+      term_result'
+        (const run
+        $ spec_t (engine_pos_t ~what:"audit") (scenario_name_t ~default:"steady")
+        $ out_t ~default:"digests.jsonl" ~doc:"Write the digest stream to FILE."
+        $ cells_t
+            ~doc:
+              "Independent simulation cells, fanned out on the Exec pool; the \
+               stream is byte-identical for any $(b,-j)."
+        $ audit_cadence_t $ seed_t $ jobs_t))
 
 (* ---------------- bisect ---------------- *)
 
@@ -951,7 +1218,6 @@ let bisect_cells_run ~engine ~spec ~seed ~cells ~cadence ~jobs =
   recorder
 
 let bisect_cmd =
-  let engine_t = engine_pos_t ~what:"bisect" in
   let file_a_t =
     Arg.(
       value
@@ -968,13 +1234,13 @@ let bisect_cmd =
   let jobs_a_t =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "jobs-a" ] ~docv:"N" ~doc:"Worker domains for run A (default $(b,-j)).")
   in
   let jobs_b_t =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "jobs-b" ] ~docv:"N" ~doc:"Worker domains for run B (default $(b,-j)).")
   in
   let seed_b_t =
@@ -987,7 +1253,7 @@ let bisect_cmd =
   let perturb_rng_t =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "perturb-rng" ] ~docv:"N"
           ~doc:
             "Demo mode: steal N draws from run B's RNG stream mid-run \
@@ -996,93 +1262,83 @@ let bisect_cmd =
   in
   let perturb_at_t =
     Arg.(
-      value & opt int 10
+      value & opt positive 10
       & info [ "perturb-at" ] ~docv:"STEP"
-          ~doc:"Inject the perturbation between STEP and STEP+1 (default 10).")
+          ~doc:
+            "Inject the perturbation between STEP and STEP+1 (default 10; \
+             below $(b,--steps), whose default here is 40).")
   in
-  let cells_t =
-    cells_t ~doc:"Independent simulation cells per run (double-run modes)."
+  (* Which of the three comparisons to run, resolved while the command
+     line is parsed. *)
+  let mode_t =
+    let resolve engine scenario steps file_a file_b perturb_rng perturb_at =
+      match (file_a, file_b, perturb_rng) with
+      | Some a, Some b, _ -> Ok (`Files (a, b))
+      | Some _, None, _ | None, Some _, _ ->
+        Error "--file-a and --file-b must be given together"
+      | None, None, Some draws ->
+        let steps = Option.value steps ~default:40 in
+        if perturb_at >= steps then
+          Error
+            (Printf.sprintf
+               "--perturb-at %d must be below --steps %d: a perturbation \
+                after the last step cannot diverge"
+               perturb_at steps)
+        else Ok (`Perturb (draws, perturb_at, steps))
+      | None, None, None ->
+        let* cells = resolve_spec engine scenario steps in
+        Ok (`Cells cells)
+    in
+    Term.(
+      term_result'
+        (const resolve $ engine_pos_t ~what:"bisect"
+        $ scenario_name_t ~default:"steady" $ cell_steps_t $ file_a_t $ file_b_t
+        $ perturb_rng_t $ perturb_at_t))
   in
-  let run engine scenario file_a file_b jobs_a jobs_b seed_b perturb_rng
-      perturb_at cells steps cadence seed jobs =
+  let run mode jobs_a jobs_b seed_b cells cadence seed jobs =
     setup_jobs jobs;
+    let seed_b = Option.value seed_b ~default:seed in
     let report a_frames b_frames =
       match Audit.Bisect.first_divergence a_frames b_frames with
       | None ->
         Printf.printf "streams agree: %d frames, no divergence\n"
           (List.length a_frames);
-        `Ok ()
+        Ok ()
       | Some d ->
         print_endline (Audit.Bisect.describe d);
-        `Ok ()
+        Ok ()
     in
-    match (file_a, file_b) with
-    | Some a, Some b -> (
-      let read path =
-        match In_channel.with_open_bin path In_channel.input_all with
-        | data -> Audit.Export.of_jsonl data
-        | exception Sys_error msg -> Error msg
+    match mode with
+    | `Files (a, b) ->
+      let frames path =
+        let* data = read path in
+        Result.map_error (fun msg -> path ^ ": " ^ msg) (Audit.Export.of_jsonl data)
       in
-      match (read a, read b) with
-      | Error msg, _ -> `Error (false, Printf.sprintf "%s: %s" a msg)
-      | _, Error msg -> `Error (false, Printf.sprintf "%s: %s" b msg)
-      | Ok fa, Ok fb -> report fa fb)
-    | Some _, None | None, Some _ ->
-      `Error (true, "--file-a and --file-b must be given together")
-    | None, None -> (
-      if cells < 1 then `Error (true, "need at least one cell")
-      else if (match steps with Some s -> s < 1 | None -> false) then
-        `Error (true, "need at least one step")
-      else if cadence < 1 then `Error (true, "cadence must be >= 1")
-      else if perturb_at < 1 then `Error (true, "perturb-at must be >= 1")
-      else
-        match perturb_rng with
-        | Some n ->
-          if n < 1 then `Error (true, "perturb-rng must be >= 1")
-          else begin
-            let steps = Option.value steps ~default:40 in
-            let spec = bisect_static_spec ~steps in
-            let a =
-              bisect_manual_run ~spec ~seed ~steps ~cadence ~perturb:None
-            in
-            let b =
-              bisect_manual_run ~spec
-                ~seed:(Option.value seed_b ~default:seed)
-                ~steps ~cadence
-                ~perturb:(Some (n, perturb_at))
-            in
-            Printf.printf
-              "mis-seeding demo: 1 msg cell x %d static steps, %d draws \
-               stolen after step %d\n"
-              steps n perturb_at;
-            report (Audit.Recorder.frames a) (Audit.Recorder.frames b)
-          end
-        | None -> (
-          match resolve_spec ~engine ~scenario ~steps with
-          | Error msg -> `Error (false, msg)
-          | Ok spec ->
-            let a =
-              bisect_cells_run ~engine ~spec ~seed ~cells ~cadence
-                ~jobs:jobs_a
-            in
-            let b =
-              bisect_cells_run ~engine ~spec
-                ~seed:(Option.value seed_b ~default:seed)
-                ~cells ~cadence ~jobs:jobs_b
-            in
-            Printf.printf
-              "scenario %s on %s: 2 runs x %d cells x %d steps (cadence %d)\n"
-              spec.Scenario.Spec.name (Scenario.engine_name engine) cells
-              spec.Scenario.Spec.steps cadence;
-            report (Audit.Recorder.frames a) (Audit.Recorder.frames b)))
-  in
-  let term =
-    Term.(
-      ret
-        (const run $ engine_t $ scenario_name_t ~default:"steady" $ file_a_t
-       $ file_b_t $ jobs_a_t $ jobs_b_t $ seed_b_t $ perturb_rng_t
-       $ perturb_at_t $ cells_t $ opt_steps_t $ audit_cadence_t $ seed_t
-       $ jobs_t))
+      let* fa = frames a in
+      let* fb = frames b in
+      report fa fb
+    | `Perturb (n, perturb_at, steps) ->
+      let spec = bisect_static_spec ~steps in
+      let a = bisect_manual_run ~spec ~seed ~steps ~cadence ~perturb:None in
+      let b =
+        bisect_manual_run ~spec ~seed:seed_b ~steps ~cadence
+          ~perturb:(Some (n, perturb_at))
+      in
+      Printf.printf
+        "mis-seeding demo: 1 msg cell x %d static steps, %d draws \
+         stolen after step %d\n"
+        steps n perturb_at;
+      report (Audit.Recorder.frames a) (Audit.Recorder.frames b)
+    | `Cells (engine, spec) ->
+      let a = bisect_cells_run ~engine ~spec ~seed ~cells ~cadence ~jobs:jobs_a in
+      let b =
+        bisect_cells_run ~engine ~spec ~seed:seed_b ~cells ~cadence ~jobs:jobs_b
+      in
+      Printf.printf
+        "scenario %s on %s: 2 runs x %d cells x %d steps (cadence %d)\n"
+        spec.Scenario.Spec.name (Scenario.engine_name engine) cells
+        spec.Scenario.Spec.steps cadence;
+      report (Audit.Recorder.frames a) (Audit.Recorder.frames b)
   in
   Cmd.v
     (Cmd.info "bisect"
@@ -1090,7 +1346,11 @@ let bisect_cmd =
          "Run two configurations of the same scenario (or read two \
           recorded digest streams) and report the first step and \
           subsystem whose state digests diverge.")
-    term
+    Term.(
+      term_result'
+        (const run $ mode_t $ jobs_a_t $ jobs_b_t $ seed_b_t
+        $ cells_t ~doc:"Independent simulation cells per run (double-run modes)."
+        $ audit_cadence_t $ seed_t $ jobs_t))
 
 (* ---------------- scenario ---------------- *)
 
@@ -1111,60 +1371,47 @@ let scenario_cmd =
             "Driver to run the cells on: $(b,state), $(b,msg), $(b,async) \
              or $(b,mixed) (state/msg alternating; default).")
   in
-  let cells_t =
-    cells_t
-      ~doc:
-        "Independent simulation cells, fanned out on the Exec pool; the \
-         report is byte-identical for any $(b,-j)."
-  in
-  let list_t =
-    Arg.(value & flag & info [ "list" ] ~doc:"List the scenario registry and exit.")
-  in
-  let run name engine cells steps list seed jobs =
+  let run (engine, spec) cells list seed jobs =
     setup_jobs jobs;
     if list then begin
       print_catalogue Scenario.catalogue;
-      `Ok ()
+      Ok ()
     end
-    else if cells < 1 then `Error (true, "need at least one cell")
-    else if (match steps with Some s -> s < 1 | None -> false) then
-      `Error (true, "need at least one step")
-    else
-      match resolve_spec ~engine ~scenario:name ~steps with
-      | Error msg -> `Error (false, msg)
-      | Ok spec ->
-        let results = Scenario.cells ~engine ~seed ~cells spec in
-        Printf.printf "scenario %s on %s: %d cells x %d steps (seed %d)\n\n"
-          spec.Scenario.Spec.name (Scenario.engine_name engine) cells
-          spec.Scenario.Spec.steps seed;
-        List.iter
-          (fun (label, s) ->
-            Printf.printf "  %-16s %s\n" label (Scenario.Stats.summary s))
-          results;
-        Printf.printf "\ntotal messages: %d\n" (total_messages results);
-        `Ok ()
-  in
-  let term =
-    Term.(
-      ret
-        (const run $ name_t $ engine_t $ cells_t $ opt_steps_t $ list_t
-       $ seed_t $ jobs_t))
+    else begin
+      let results = Scenario.cells ~engine ~seed ~cells spec in
+      Printf.printf "scenario %s on %s: %d cells x %d steps (seed %d)\n\n"
+        spec.Scenario.Spec.name (Scenario.engine_name engine) cells
+        spec.Scenario.Spec.steps seed;
+      List.iter
+        (fun (label, s) ->
+          Printf.printf "  %-16s %s\n" label (Scenario.Stats.summary s))
+        results;
+      Printf.printf "\ntotal messages: %d\n" (total_messages results);
+      Ok ()
+    end
   in
   Cmd.v
     (Cmd.info "scenario"
        ~doc:
          "Run a named scenario from the registry on the state-level and/or \
           message-level driver and report per-cell statistics.")
-    term
+    Term.(
+      term_result'
+        (const run $ spec_t engine_t name_t
+        $ cells_t
+            ~doc:
+              "Independent simulation cells, fanned out on the Exec pool; the \
+               report is byte-identical for any $(b,-j)."
+        $ list_t "scenario registry" $ seed_t $ jobs_t))
 
 (* ---------------- init ---------------- *)
 
 let init_cmd =
-  let run seed n_max n0 k tau =
-    let params = make_params ~n_max ~k ~tau ~exact_walk:false ~no_shuffle:false in
-    let engine = make_engine ~seed ~params ~n0 ~tau in
+  let run seed params n0 =
+    let engine = make_engine ~seed ~params ~n0 in
     let r = Engine.init_report engine in
-    Printf.printf "initialisation report (n0 = %d, N = %d):\n" r.Engine.n0 n_max;
+    Printf.printf "initialisation report (n0 = %d, N = %d):\n" r.Engine.n0
+      params.Params.n_max;
     Printf.printf "  bootstrap edges     : %d\n" r.Engine.bootstrap_edges;
     Printf.printf "  discovery messages  : %d (rounds: %d)\n"
       r.Engine.discovery_messages r.Engine.discovery_rounds;
@@ -1176,10 +1423,12 @@ let init_cmd =
       (Params.target_cluster_size params);
     Printf.printf "  min honest fraction : %.3f\n" (Engine.min_honest_fraction engine)
   in
-  let term = Term.(const run $ seed_t $ n_max_t $ n0_t $ k_t $ tau_t) in
   Cmd.v
     (Cmd.info "init" ~doc:"Run only the initialisation phase and report its cost.")
-    term
+    Term.(
+      const run $ seed_t
+      $ params_t ~exact_walk:(const false) ~no_shuffle:(const false)
+      $ n0_t)
 
 let () =
   let doc = "NOW/OVER — Byzantine-tolerant clustering for highly dynamic networks" in

@@ -19,7 +19,7 @@ val print_result : result -> unit
     flight-recorder ring ({!Trace.recent}) to stderr — the failing
     experiment's own causal window. *)
 
-(** Mode scaling: [quick] is used by tests and the default bench run;
+(** Mode scaling: [quick] is used by tests and the default experiments run;
     [full] by the EXPERIMENTS.md regeneration. *)
 type mode = Quick | Full
 

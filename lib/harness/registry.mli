@@ -1,5 +1,5 @@
 (** Experiment registry: every table/figure reproduction, addressable by id
-    (used by bench/main.exe, bin/now_sim and the test suite). *)
+    (used by [now_sim experiments] and the test suite). *)
 
 type runner = Common.mode -> Common.result
 
@@ -8,7 +8,7 @@ val all : (string * runner) list
 
 val descriptions : (string * string) list
 (** One-line description per experiment id, in registry order (used by
-    [now_sim experiments --list] and the bench summary). *)
+    [now_sim experiments --list]). *)
 
 val find : string -> runner option
 (** Case-insensitive lookup by id. *)
@@ -22,6 +22,6 @@ val run_ids :
 (** Run the experiments with the given ids ([[]] means all) concurrently
     on the {!Exec} pool, then print every result in registry order (the
     output is byte-identical for any [-j]).  [wrap] intercepts each
-    experiment's execution (it must call the thunk exactly once) — the
-    bench uses it to time runs without touching their output.  Raises
-    [Invalid_argument] on an unknown id. *)
+    experiment's execution (it must call the thunk exactly once) —
+    [now_sim experiments] uses it to time runs without touching their
+    output.  Raises [Invalid_argument] on an unknown id. *)

@@ -1,7 +1,8 @@
 (** Fixed-width ASCII table rendering and CSV output for experiment results.
 
     All experiment harness rows flow through this module so that
-    [bench/main.exe] and the examples print uniformly formatted tables. *)
+    [now_sim experiments] and the examples print uniformly formatted
+    tables. *)
 
 type cell =
   | S of string

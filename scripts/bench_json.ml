@@ -29,7 +29,8 @@ let member name = function
     | None -> format_error "missing field %S" name)
   | _ -> format_error "expected an object holding %S" name
 
-(* bench/main writes null for a non-finite aggregate. *)
+(* now_sim experiments --monitor-json writes null for a non-finite
+   aggregate. *)
 let to_num name = function
   | Num f -> f
   | Null -> nan

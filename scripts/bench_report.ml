@@ -1,5 +1,5 @@
 (* bench_report — render BENCH_history.jsonl (appended by
-   `bench/main.exe --history FILE`) as a self-contained SVG/HTML
+   `now_sim experiments --history FILE`) as a self-contained SVG/HTML
    dashboard of per-experiment wall time, caller-domain allocation and
    peak live words (a Gc-alarm footprint sample, present since the
    flat-arena engine landed) across runs.  All three are informational

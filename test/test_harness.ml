@@ -1,6 +1,6 @@
 (* Integration tests: the cheap experiments of the harness must pass their
    own paper-shape assertions end-to-end.  The expensive ones (E3, E5,
-   E10) are exercised by `dune exec bench/main.exe`; here we only check
+   E10) are exercised by `now_sim experiments`; here we only check
    their machinery via the registry. *)
 
 let checkb = Alcotest.check Alcotest.bool

@@ -26,4 +26,5 @@ let () =
       ("equivalence", Test_equivalence.suite);
       ("harness", Test_harness.suite);
       ("telemetry", Test_telemetry.suite);
+      ("cli", Test_cli.suite);
     ]
