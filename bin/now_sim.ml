@@ -823,11 +823,7 @@ let byz_cmd =
         (fun item ->
           match item with
           | Trace.Mark { name; _ } ->
-            let interesting =
-              String.length name >= 4 && String.sub name 0 4 = "byz."
-              || name = "walk.retry" || name = "randnum.stall"
-            in
-            if interesting then
+            if Monitor.Blame.deviation_point name then
               Hashtbl.replace tally name
                 (1 + Option.value ~default:0 (Hashtbl.find_opt tally name))
           | Trace.Span _ -> ())

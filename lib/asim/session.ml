@@ -4,6 +4,7 @@ module Randnum = Cluster.Randnum
 module Walk = Cluster.Walk
 module Exchange = Cluster.Exchange
 module Rng = Prng.Rng
+module Buckets = Metrics.Histogram.Buckets
 
 (* randNum's two phases, int-coded so both primitives share one kernel. *)
 let escrow = 0
@@ -40,7 +41,7 @@ type t = {
      tallies, plus kernel queue peaks folded in after each sub-session.
      All of it is a pure function of the session's event streams, so the
      monitor may export it under the byte-identity gates. *)
-  lat : (string, Telemetry.Histogram.t) Hashtbl.t;
+  lat : (string, Buckets.t) Hashtbl.t;
   lat_timeouts : (string, int) Hashtbl.t;
   mutable queue_peak : int;
   mutable inflight_peak : int;
@@ -85,11 +86,11 @@ let account t ~label ~makespan ~timed_out =
     match Hashtbl.find_opt t.lat label with
     | Some h -> h
     | None ->
-      let h = Telemetry.Histogram.create () in
+      let h = Buckets.create () in
       Hashtbl.replace t.lat label h;
       h
   in
-  Telemetry.Histogram.add h makespan;
+  Buckets.add h makespan;
   if timed_out then begin
     t.timeouts <- t.timeouts + 1;
     let c =
@@ -127,14 +128,14 @@ let timeouts_for t ~label =
 
 let latency_all t =
   Hashtbl.fold
-    (fun _ h acc -> Telemetry.Histogram.merge acc h)
+    (fun _ h acc -> Buckets.merge acc h)
     t.lat
-    (Telemetry.Histogram.create ())
+    (Buckets.create ())
 
 let latency_p99 t =
   let all = latency_all t in
-  if Telemetry.Histogram.count all = 0 then 0.0
-  else Telemetry.Histogram.percentile all 99.0
+  if Buckets.count all = 0 then 0.0
+  else Buckets.percentile all 99.0
 
 let queue_peak t = t.queue_peak
 let inflight_peak t = t.inflight_peak

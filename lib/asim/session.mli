@@ -58,7 +58,7 @@ val rng_cursor : t -> int64
 (** {2 Latency telemetry}
 
     Every sub-session's makespan is additionally recorded into a
-    {!Telemetry.Histogram} keyed by the primitive's trace label
+    {!Metrics.Histogram.Buckets} keyed by the primitive's trace label
     (["valchan"], ["randnum"], ["walk.token"], ["exchange.announce"],
     ...), with deadline hits tallied per label and each sub-session
     kernel's queue peaks folded into session-wide maxima.  All of it is
@@ -69,12 +69,12 @@ val rng_cursor : t -> int64
 val latency_labels : t -> string list
 (** Sorted labels with at least one recorded makespan. *)
 
-val latency : t -> label:string -> Telemetry.Histogram.t option
+val latency : t -> label:string -> Metrics.Histogram.Buckets.t option
 (** The label's makespan histogram ([None] before its first
     sub-session).  The returned histogram is live — read, don't
     mutate. *)
 
-val latency_all : t -> Telemetry.Histogram.t
+val latency_all : t -> Metrics.Histogram.Buckets.t
 (** A fresh merge of every label's histogram: the session-wide makespan
     distribution. *)
 

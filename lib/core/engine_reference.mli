@@ -6,181 +6,7 @@
     The qcheck equivalence suite drives this engine and {!Engine}
     through identical operation sequences (churn, exchanges, sharded
     epochs) and requires identical snapshot bytes, cluster stats and
-    audit digests.  The API below mirrors {!Engine} item for item; see
-    that interface for the per-item protocol documentation. *)
+    audit digests.  Both engines declare their API as {!Engine_impl.S},
+    which documents each item. *)
 
-type t
-
-(** Cost report of the initialisation phase (an equation with
-    {!View.init_report}, so view consumers share the type). *)
-type init_report = View.init_report = {
-  n0 : int;  (** nodes at initialisation *)
-  bootstrap_edges : int;  (** edges of the physical discovery graph *)
-  discovery_messages : int;
-  discovery_rounds : int;  (** bounded by the honest-adjacent diameter *)
-  agreement_messages : int;  (** modeled King–Saia cost, Õ(n sqrt n) *)
-  agreement_rounds : int;
-  partition_messages : int;
-  initial_clusters : int;
-}
-
-type op_report = {
-  messages : int;
-  rounds : int;  (** critical-path round count for the operation *)
-  splits : int;  (** split operations this operation triggered *)
-  merges : int;  (** merge operations this operation triggered *)
-  walks : int;  (** randCl invocations *)
-  walk_hops : int;  (** total CTRW hops across them *)
-  rejoins : int;  (** pending re-joins flushed (Rejoin_self merges) *)
-}
-
-val create : ?seed:int64 -> Params.t -> initial:Node.honesty list -> t
-(** Run the initialisation phase on the given population (the adversary
-    chooses which initial nodes are Byzantine — Section 2 allows
-    corruption from the very beginning).  Raises [Invalid_argument] if
-    [initial] is empty. *)
-
-val create_scaled : ?seed:int64 -> Params.t -> initial:Node.honesty list -> t
-(** {!create} for 10^5–10^6-node populations (experiment E15): identical
-    partition and overlay construction, but the Θ(n log n)-edge physical
-    bootstrap graph is charged analytically (expected Erdős–Rényi edge
-    count, log-diameter flooding bound) instead of materialised.  The RNG
-    stream therefore differs from {!create} — the two constructors are
-    distinct seeding conventions, not interchangeable on the same seed. *)
-
-val params : t -> Params.t
-val ledger : t -> Metrics.Ledger.t
-
-val roster : t -> Node.Roster.t
-(** The identity allocator (never reuses an id). *)
-
-val table : t -> Cluster_table_reference.t
-(** Direct access to the membership table — tests and oracles only;
-    external readers should go through {!view}. *)
-
-val overlay : t -> Over.t
-(** The OVER expander over live cluster ids. *)
-
-val init_report : t -> init_report
-(** Cost report of the initialisation phase. *)
-
-val time_step : t -> int
-(** Number of join/leave operations executed so far. *)
-
-val rng_cursors : t -> (string * int64) list
-(** The engine's per-stream generator cursors —
-    [("engine", ...); ("over", ...)] — as saved states ({!Prng.Rng.save}).
-    A read-only probe for the audit layer's [rng] subsystem digest: two
-    trajectories whose state tables agree but whose streams have drifted
-    apart differ here first. *)
-
-val join : t -> Node.honesty -> Node.id * op_report
-(** A new node joins; the adversary decided its honesty.  Runs Algorithm 1
-    (insert into a [randCl]-chosen cluster, full exchange, split if
-    oversized). *)
-
-val exchange_cluster : t -> int -> op_report
-(** Run the [exchange] primitive on every member of the given cluster —
-    the operation Lemma 1 analyses (also usable as a proactive shuffle).
-    Raises [Not_found] for unknown clusters. *)
-
-val exchange_epoch : t -> op_report
-(** One proactive shuffle of the whole system: every member of every
-    cluster runs one exchange.  The per-cluster walk plans are computed
-    in parallel across the {!Exec} pool (randomness split per cluster
-    index off the engine stream) and applied sequentially in
-    cluster-index order, so the result is bit-identical for any [-j]
-    (CI-gated).  Costs are charged analytically from the
-    [Direct_sample] formulas; rounds are max-combined across clusters
-    (they shuffle in parallel).  The scale path E15 exercises. *)
-
-val leave : t -> Node.id -> op_report
-(** The node leaves (voluntarily or killed by the adversary); its former
-    cluster detects the departure and runs Algorithm 2 (full exchange,
-    one-level exchange cascade to the clusters it swapped with, merge if
-    undersized). *)
-
-(** Lifetime operation counters (an equation with {!View.totals}, so view
-    consumers share the type). *)
-type totals = View.totals = {
-  total_joins : int;
-  total_leaves : int;
-  total_splits : int;
-  total_merges : int;
-  total_rejoins : int;
-  total_walks : int;
-}
-
-val totals : t -> totals
-(** Lifetime operation counters (survive {!save}/{!load}). *)
-
-val n_nodes : t -> int
-(** Nodes currently in the system (including any awaiting re-join). *)
-
-val n_clusters : t -> int
-
-val random_node : t -> Node.id
-(** Uniformly random present node (adversary/workload helper; free of
-    charge — the adversary has full knowledge). *)
-
-val random_node_where : t -> (Node.id -> bool) -> Node.id option
-(** Uniform over nodes satisfying the predicate; rejection-sampled, [None]
-    if none found within a large budget. *)
-
-val uniform_member : t -> int -> Node.id
-(** Uniform member of the given cluster, drawn from the engine's
-    generator (the [randNum] step of node sampling). *)
-
-val rand_cl : t -> ?start:int -> unit -> int * op_report
-(** Expose the biased cluster selection (used by OVER call-backs, the
-    sampling application and E9).  [start] defaults to a uniform cluster. *)
-
-val min_honest_fraction : t -> float
-val violations_now : t -> int
-
-val violation_events : t -> int
-(** Lifetime count of safety-bound breaches (each logged once). *)
-
-val cluster_sizes : t -> int list
-(** Per-cluster sizes in ascending cluster-id order. *)
-
-val byz_fractions : t -> float list
-(** Per-cluster Byzantine fractions in ascending cluster-id order. *)
-
-val cluster_stats : t -> (int * int * int) list
-(** [(cluster id, size, Byzantine member count)] per live cluster, sorted
-    by id — the per-cluster probe the invariant monitor samples (integer
-    counts so bound checks avoid float rounding at exactly 2/3). *)
-
-val overlay_health : ?spectral_iterations:int -> t -> Over.health
-
-val view : t -> View.t
-(** The narrow read-only window external readers (monitor probes, audit
-    digests, scenario drivers, the snapshot writer) consume — see
-    {!View}.  Building it allocates only closures; every access is a
-    pure read of live state. *)
-
-type batch_op = Batch_join of Node.honesty | Batch_leave of Node.id
-
-val batch : t -> batch_op list -> Node.id list * op_report
-(** Several joins and leaves in one time step — the footnote of Section 2
-    notes the analysis generalises to parallel operations.  State effects
-    are applied sequentially (deterministically); the report sums messages
-    but max-combines rounds, modelling the operations proceeding in
-    parallel.  Returns the ids of the joined nodes, in order. *)
-
-val save : t -> string
-(** Serialise the complete engine state — parameters, generator state,
-    roster, partition, overlay, ledger, pending re-joins — into a
-    line-oriented text snapshot.  {!load} resumes an identical engine:
-    the continuation of a loaded run is bit-for-bit the continuation of
-    the original (determinism). *)
-
-val load : string -> t
-(** Inverse of {!save}.  Raises [Failure] on a malformed snapshot. *)
-
-val check_invariants : t -> unit
-(** Test hook: verifies table consistency, roster/table agreement,
-    overlay/partition agreement and the cluster-size discipline
-    ([size <= max]; [size >= min] whenever more than one cluster exists
-    and no merge was skipped).  Raises [Failure] on violation. *)
+include Engine_impl.S with type table := Cluster_table_reference.t

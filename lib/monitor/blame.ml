@@ -19,8 +19,7 @@ let span_ops =
     "valchan";
   ]
 
-(* Deviations and stall symptoms; mirrors Probe.interesting. *)
-let interesting_point name =
+let deviation_point name =
   name = "walk.retry" || name = "randnum.stall"
   || (String.length name > 4 && String.sub name 0 4 = "byz.")
 
@@ -52,7 +51,7 @@ let of_events ?cluster ?(max_entries = default_max_entries) events =
           when List.mem name span_ops && touches ~cluster attrs ->
             Some (entry ~name ~layer ~time ~attrs)
         | Trace.Point { name; layer; time; attrs }
-          when interesting_point name && touches ~cluster attrs ->
+          when deviation_point name && touches ~cluster attrs ->
             Some (entry ~name ~layer ~time ~attrs)
         | _ -> None)
       events

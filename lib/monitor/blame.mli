@@ -12,6 +12,12 @@
     gets one standing-condition entry, so a blame block is never
     empty. *)
 
+val deviation_point : string -> bool
+(** Whether a trace point counts as a deviation: a [byz.<deviation>]
+    point (a non-empty name after the prefix) or a stall symptom
+    ([walk.retry], [randnum.stall]).  The one definition {!of_events},
+    [Probe.ingest_trace] and [now_sim byz] filter with. *)
+
 val default_max_entries : int
 (** Entries kept per blame window (the most recent ones). *)
 

@@ -179,17 +179,13 @@ let sample_config store ?(labels = []) ?(spectral_iterations = 200)
   sample_health store ~labels ~time ?degree_bound health;
   sample_ledger store ~labels ~time (Cluster.Config.ledger cfg)
 
-let interesting name =
-  name = "walk.retry" || name = "randnum.stall"
-  || (String.length name > 4 && String.sub name 0 4 = "byz.")
-
 let ingest_trace store ?(labels = []) ?(bucket = 1) dump =
   if bucket < 1 then invalid_arg "Monitor.Probe.ingest_trace: bucket must be >= 1";
   let counts = Hashtbl.create 64 in
   List.iter
     (fun (event : Trace.event) ->
       match event with
-      | Trace.Point { name; time; _ } when interesting name ->
+      | Trace.Point { name; time; _ } when Blame.deviation_point name ->
           let key = (name, time / bucket * bucket) in
           let n = try Hashtbl.find counts key with Not_found -> 0 in
           Hashtbl.replace counts key (n + 1)

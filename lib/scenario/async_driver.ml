@@ -75,10 +75,10 @@ let sample t ~time =
         let gauge series v =
           Monitor.maybe_gauge ~series ~labels ~time v
         in
-        gauge "asim.lat.p50" (Telemetry.Histogram.percentile h 50.0);
-        gauge "asim.lat.p90" (Telemetry.Histogram.percentile h 90.0);
-        gauge "asim.lat.p99" (Telemetry.Histogram.percentile h 99.0);
-        gauge "asim.lat.max" (Telemetry.Histogram.max_value h);
+        gauge "asim.lat.p50" (Metrics.Histogram.Buckets.percentile h 50.0);
+        gauge "asim.lat.p90" (Metrics.Histogram.Buckets.percentile h 90.0);
+        gauge "asim.lat.p99" (Metrics.Histogram.Buckets.percentile h 99.0);
+        gauge "asim.lat.max" (Metrics.Histogram.Buckets.max_value h);
         gauge "asim.lat.timeouts"
           (float_of_int (Session.timeouts_for t.session ~label:lbl)))
     (Session.latency_labels t.session);

@@ -54,7 +54,7 @@ module Stats : sig
             completing early *)
     lat_p99 : float;
         (** 99th-percentile sub-session makespan (asynchronous engine
-            only; estimated by {!Telemetry.Histogram}, 0 on the
+            only; estimated by {!Metrics.Histogram.Buckets}, 0 on the
             synchronous drivers) *)
   }
   (** Everything a finished trajectory reports.  Drivers fill the fields

@@ -544,21 +544,15 @@ module Report = struct
     in
     List.iter
       (fun ((layer, name), a) ->
-        let samples = Metrics.Histogram.Samples.to_array a.round_samples in
         (* n = 1 renders too: a single observation is still a (degenerate)
-           distribution; only a truly empty series is skipped, and an
-           all-equal series widens its range so Histogram.create's
-           [hi > lo] precondition holds. *)
-        if Array.length samples > 0 then begin
-          let lo = samples.(0) in
-          let hi = samples.(Array.length samples - 1) in
-          let hi = if hi > lo then hi else lo +. 1.0 in
-          let h = Metrics.Histogram.create ~lo ~hi ~bins:12 in
-          Array.iter (fun s -> Metrics.Histogram.add h s) samples;
+           distribution; only a truly empty series is skipped. *)
+        if Metrics.Histogram.Samples.count a.round_samples > 0 then begin
           Buffer.add_string b
             (Printf.sprintf "\nround-latency histogram: %s [%s]\n" name
                (layer_name layer));
-          Buffer.add_string b (Format.asprintf "%a" Metrics.Histogram.pp h)
+          Buffer.add_string b
+            (Format.asprintf "%a" (Metrics.Histogram.Samples.pp ~bins:12)
+               a.round_samples)
         end)
       (take top (ranked t));
     Buffer.contents b

@@ -196,8 +196,9 @@ module Report : sig
       the machine-readable face of the breakdown. *)
 
   val render : ?top:int -> t -> string
-  (** {!table} plus a round-latency histogram ({!Metrics.Histogram}) for
-      the [top] primitives by self-messages (default 3). *)
+  (** {!table} plus a round-latency histogram
+      ({!Metrics.Histogram.Samples.pp}) for the [top] primitives by
+      self-messages (default 3). *)
 end
 
 val profiled :

@@ -1,6 +1,7 @@
 (* What bench_diff and bench_report share: Metrics.Json's reader, plus
-   reading a file and field accessors that turn every problem into a
-   "format error" on stderr and exit 2, the scripts' shared exit code. *)
+   reading and writing a file and field accessors that turn every problem
+   into a "format error" on stderr and exit 2, the scripts' shared exit
+   code. *)
 
 include Metrics.Json
 
@@ -13,10 +14,26 @@ let format_error fmt =
       exit 2)
     fmt
 
+(* [Sys_error] names the path when opening fails, not when reading or
+   writing does: name it exactly once either way. *)
+let sys_error path msg =
+  if String.starts_with ~prefix:(path ^ ": ") msg then format_error "%s" msg
+  else format_error "%s: %s" path msg
+
 let read_file path =
   if not (Sys.file_exists path) then format_error "no such file: %s" path;
   try In_channel.with_open_bin path In_channel.input_all
-  with Sys_error msg -> format_error "%s: %s" path msg
+  with Sys_error msg -> sys_error path msg
+
+(* The channel is closed inside the guard, so a write error that only
+   shows when the buffer is flushed at close (a full disk) is reported
+   too. *)
+let write_file path text =
+  try
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc text;
+        Out_channel.close oc)
+  with Sys_error msg -> sys_error path msg
 
 (* [where] names the file or line in the error message. *)
 let parse_or_exit ~where text =

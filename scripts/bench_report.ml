@@ -8,9 +8,10 @@
    Usage:  dune exec scripts/bench_report.exe -- HISTORY.jsonl OUT.html
 
    Exit codes follow bench_diff: 0 rendered, 2 format error (missing or
-   unreadable file, unparsable line, wrong format version).  The document
-   embeds everything (styles, charts) — no external assets — so it can be
-   archived as a CI artifact and opened anywhere. *)
+   unreadable file, unparsable line, wrong format version, unwritable
+   output).  The document embeds everything (styles, charts) — no
+   external assets — so it can be archived as a CI artifact and opened
+   anywhere. *)
 
 open Bench_json
 
@@ -341,9 +342,7 @@ let () =
   | [| _; history_path; out_path |] ->
     let runs = load history_path in
     let html = render runs in
-    let oc = open_out out_path in
-    output_string oc html;
-    close_out oc;
+    write_file out_path html;
     Printf.printf "bench_report: %d runs, wrote %s\n" (List.length runs)
       out_path
   | _ ->

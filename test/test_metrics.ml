@@ -54,29 +54,55 @@ let test_stats_merge_empty () =
   checki "count" 1 (Stats.count m);
   checkf "mean" 2.0 (Stats.mean m)
 
+(* [(lo, hi, count)] per line of a [Samples.pp] chart; [] for the empty
+   chart. *)
+let chart_bins ~bins s =
+  match Format.asprintf "%a" (Histogram.Samples.pp ~bins) s with
+  | "(empty histogram)" -> []
+  | chart ->
+    String.split_on_char '\n' chart
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l -> Scanf.sscanf l "[ %f, %f) %d" (fun lo hi c -> (lo, hi, c)))
+
 let test_histogram_binning () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  Histogram.add h 0.5;
-  Histogram.add h 9.99;
-  Histogram.add h 5.0;
-  checki "count" 3 (Histogram.count h);
-  checki "bin 0" 1 (Histogram.bin_count h 0);
-  checki "bin 9" 1 (Histogram.bin_count h 9);
-  checki "bin 5" 1 (Histogram.bin_count h 5)
+  let s = Histogram.Samples.create () in
+  Histogram.Samples.add s 0.5;
+  Histogram.Samples.add s 9.99;
+  Histogram.Samples.add s 5.0;
+  Alcotest.(check (list int))
+    "min in bin 0, 5.0 in bin 4, max in bin 9"
+    [ 1; 0; 0; 0; 1; 0; 0; 0; 0; 1 ]
+    (List.map (fun (_, _, c) -> c) (chart_bins ~bins:10 s))
 
 let test_histogram_clamping () =
-  let h = Histogram.create ~lo:0.0 ~hi:1.0 ~bins:4 in
-  Histogram.add h (-5.0);
-  Histogram.add h 42.0;
-  checki "low clamp" 1 (Histogram.bin_count h 0);
-  checki "high clamp" 1 (Histogram.bin_count h 3)
+  (* An all-equal store has no range of its own: it is drawn over
+     [x, x + 1] and fills the first bin alone. *)
+  let s = Histogram.Samples.create () in
+  for _ = 1 to 5 do
+    Histogram.Samples.add s 3.0
+  done;
+  Alcotest.(check string)
+    "all-equal chart"
+    "[       3,     3.25)       5 ########################################\n"
+    (Format.asprintf "%a" (Histogram.Samples.pp ~bins:4) s)
 
 let test_histogram_bounds () =
-  let h = Histogram.create ~lo:2.0 ~hi:4.0 ~bins:2 in
-  let lo, hi = Histogram.bin_bounds h 1 in
-  checkf "bin lo" 3.0 lo;
-  checkf "bin hi" 4.0 hi;
-  checki "to_list length" 2 (List.length (Histogram.to_list h))
+  let s = Histogram.Samples.create () in
+  Alcotest.(check string)
+    "empty store" "(empty histogram)"
+    (Format.asprintf "%a" (Histogram.Samples.pp ~bins:4) s);
+  Histogram.Samples.add s 2.0;
+  Histogram.Samples.add s 4.0;
+  (match chart_bins ~bins:2 s with
+  | [ (lo0, hi0, 1); (lo1, hi1, 1) ] ->
+    checkf "bin 0 lo" 2.0 lo0;
+    checkf "bin 0 hi" 3.0 hi0;
+    checkf "bin 1 lo" 3.0 lo1;
+    checkf "bin 1 hi" 4.0 hi1
+  | _ -> Alcotest.fail "expected two bins of one sample each");
+  Alcotest.check_raises "bins must be positive"
+    (Invalid_argument "Histogram.Samples.pp: bins must be positive") (fun () ->
+      ignore (Format.asprintf "%a" (Histogram.Samples.pp ~bins:0) s))
 
 let test_samples_percentiles () =
   let s = Histogram.Samples.create () in
@@ -353,10 +379,10 @@ let prop_histogram_conserves =
   QCheck.Test.make ~name:"histogram conserves observations" ~count:200
     QCheck.(list (float_range (-10.) 10.))
     (fun l ->
-      let h = Histogram.create ~lo:(-5.0) ~hi:5.0 ~bins:7 in
-      List.iter (Histogram.add h) l;
-      let total = List.fold_left (fun acc (_, _, c) -> acc + c) 0 (Histogram.to_list h) in
-      total = List.length l && Histogram.count h = List.length l)
+      let s = Histogram.Samples.create () in
+      List.iter (Histogram.Samples.add s) l;
+      let total = List.fold_left (fun acc (_, _, c) -> acc + c) 0 (chart_bins ~bins:7 s) in
+      total = List.length l && Histogram.Samples.count s = List.length l)
 
 let suite =
   [

@@ -1,11 +1,11 @@
-(* Tests for the runtime-telemetry layer (lib/telemetry + its feeds):
-   the log-bucketed histogram against the exact sorted-sample oracle
+(* Tests for runtime telemetry and its feeds: the log-bucketed histogram
+   (Metrics.Histogram.Buckets) against the exact sorted-sample oracle
    (Metrics.Histogram.Samples), the async session's per-primitive latency
    accounting, Exec-pool introspection counters, the zero-perturbation
    contract (telemetry enabled changes no gated byte), and the
    bench_diff/bench_report script exit codes. *)
 
-module H = Telemetry.Histogram
+module H = Metrics.Histogram.Buckets
 module Samples = Metrics.Histogram.Samples
 module Session = Asim.Session
 module Config = Cluster.Config
@@ -40,7 +40,7 @@ let prop_count_sum_max_exact =
          <= 1e-9 *. Float.abs (H.sum h))
 
 (* The exact nearest-rank percentile over the sorted observations — the
-   statistic Telemetry.Histogram estimates (Metrics' Samples.percentile
+   statistic Metrics.Histogram.Buckets estimates (Samples.percentile
    interpolates on a different rank rule, so the oracle is computed
    directly). *)
 let exact_percentile obs p =
@@ -247,6 +247,67 @@ let test_telemetry_zero_perturbation () =
   checkb "driver stats and engine snapshot identical under full telemetry"
     true (plain = telemetered)
 
+(* The exact asim.lat.* gauge values of one seeded straggler cell,
+   stepped and sampled under a monitor: bucket edges, the nearest-rank
+   rule and the clamp to the exact max all show in these numbers. *)
+let expected_latency_gauges =
+  [
+    "t=5 asim.lat.max exchange.announce 1.4738623914975739";
+    "t=11 asim.lat.max exchange.announce 1.4738623914975739";
+    "t=5 asim.lat.max randnum 8";
+    "t=11 asim.lat.max randnum 8";
+    "t=5 asim.lat.max walk.token 8";
+    "t=11 asim.lat.max walk.token 8";
+    "t=5 asim.lat.p50 exchange.announce 1.4738623914975739";
+    "t=11 asim.lat.p50 exchange.announce 1.4738623914975739";
+    "t=5 asim.lat.p50 randnum 6.0740009999520987";
+    "t=11 asim.lat.p50 randnum 6.0740009999520987";
+    "t=5 asim.lat.p50 walk.token 1.5185002499880247";
+    "t=11 asim.lat.p50 walk.token 1.5185002499880247";
+    "t=5 asim.lat.p90 exchange.announce 1.4738623914975739";
+    "t=11 asim.lat.p90 exchange.announce 1.4738623914975739";
+    "t=5 asim.lat.p90 randnum 8";
+    "t=11 asim.lat.p90 randnum 8";
+    "t=5 asim.lat.p90 walk.token 1.5185002499880247";
+    "t=11 asim.lat.p90 walk.token 1.5185002499880247";
+    "t=5 asim.lat.p99 exchange.announce 1.4738623914975739";
+    "t=11 asim.lat.p99 exchange.announce 1.4738623914975739";
+    "t=5 asim.lat.p99 randnum 8";
+    "t=11 asim.lat.p99 randnum 8";
+    "t=5 asim.lat.p99 walk.token 8";
+    "t=11 asim.lat.p99 walk.token 8";
+    "t=5 asim.lat.timeouts exchange.announce 0";
+    "t=11 asim.lat.timeouts exchange.announce 0";
+    "t=5 asim.lat.timeouts randnum 31";
+    "t=11 asim.lat.timeouts randnum 70";
+    "t=5 asim.lat.timeouts walk.token 2";
+    "t=11 asim.lat.timeouts walk.token 2";
+  ]
+
+let test_latency_gauges_pinned () =
+  let spec =
+    { Scenario.steady with Scenario.Spec.delay = Some "straggler:every=4,factor=8" }
+  in
+  let store = Monitor.create () in
+  Monitor.with_monitor store (fun () ->
+      let d = Scenario.Async_driver.create ~seed:3L spec in
+      for time = 0 to 11 do
+        Scenario.Async_driver.step d ~time;
+        if time mod 6 = 5 then Scenario.Async_driver.sample d ~time
+      done);
+  let lat =
+    List.filter_map
+      (fun (s : Monitor.Store.sample) ->
+        if String.starts_with ~prefix:"asim.lat." s.series then
+          Some
+            (Printf.sprintf "t=%d %s %s %.17g" s.time s.series
+               (List.assoc "primitive" s.labels)
+               s.value)
+        else None)
+      (Monitor.Store.samples store)
+  in
+  Alcotest.(check (list string)) "asim.lat.* samples" expected_latency_gauges lat
+
 (* ---------- script exit codes ---------- *)
 
 let scripts_available =
@@ -387,6 +448,23 @@ let test_scripts_reject_a_directory () =
          (Printf.sprintf "../scripts/bench_report.exe %s %s" (Filename.quote dir)
             (Filename.quote (Filename.concat dir "unused.html"))));
     checkb "bench_report reports a format error" true (stderr_says_format_error ());
+    (* An output that cannot be written is reported the same way, a write
+       error that only shows when the file is closed included. *)
+    let hist = Filename.temp_file "benchhist" ".jsonl" in
+    write_file hist
+      ({|{"format": 1, "mode": "quick", "stamp": 100, "experiments": [{"id": "E1", "ok": true, "wall_seconds": 1.0}]}|}
+     ^ "\n");
+    List.iter
+      (fun (what, out) ->
+        checki ("bench_report to " ^ what ^ " exits 2") 2
+          (run
+             (Printf.sprintf "../scripts/bench_report.exe %s %s"
+                (Filename.quote hist) (Filename.quote out)));
+        checkb ("bench_report to " ^ what ^ " reports a format error") true
+          (stderr_says_format_error ()))
+      ([ ("a missing directory", "/nonexistent/x.html"); ("a directory", dir) ]
+      @ if Sys.file_exists "/dev/full" then [ ("a full device", "/dev/full") ] else []);
+    Sys.remove hist;
     Sys.remove err
   end
 
@@ -405,6 +483,8 @@ let suite =
     Alcotest.test_case "exec pool introspection" `Quick test_exec_stats;
     Alcotest.test_case "telemetry is zero-perturbation" `Slow
       test_telemetry_zero_perturbation;
+    Alcotest.test_case "latency gauges pinned" `Quick
+      test_latency_gauges_pinned;
     Alcotest.test_case "bench_diff exit codes" `Quick
       test_bench_diff_exit_codes;
     Alcotest.test_case "bench_report smoke" `Quick test_bench_report_smoke;

@@ -240,8 +240,9 @@ let test_cross_engine_shared_labels () =
 
 (* --- report histogram edge cases ---
    Regression coverage: an empty dump, a single sample and an
-   all-identical sample set used to reach Metrics.Histogram.create with
-   no data or with hi = lo; the report must render all three. *)
+   all-identical sample set used to reach the fixed-bin histogram's
+   create with no data or with hi = lo; the report must render all
+   three. *)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -274,6 +275,63 @@ let test_report_identical_samples () =
   in
   let rendered = Trace.Report.render (Trace.Report.of_dump dump) in
   checkb "degenerate distribution renders" true (contains rendered "same")
+
+(* The exact report bytes for the three histogram shapes the report
+   draws: a multi-bin series (eight spans, rounds 1..21), an all-equal
+   series (three spans of 4 rounds, drawn over [4, 5)) and a
+   single-sample series. *)
+let expected_report =
+  String.concat "\n"
+    [
+      "== per-primitive profile (by self messages) ==";
+      "+-----------+-------+-------+------+-----------+--------+-------------+------------+------------+";
+      "| primitive | layer | spans | msgs | self msgs | rounds | self rounds | p50 rounds | p95 rounds |";
+      "+-----------+-------+-------+------+-----------+--------+-------------+------------+------------+";
+      "| multi     | state | 8     | 800  | 800       | 55     | 55          | 5.00       | 21.00      |";
+      "| equal     | msg   | 3     | 150  | 150       | 12     | 12          | 4.00       | 4.00       |";
+      "| single    | state | 1     | 10   | 10        | 7      | 7           | 7.00       | 7.00       |";
+      "+-----------+-------+-------+------+-----------+--------+-------------+------------+------------+";
+      "";
+      "round-latency histogram: multi [state]";
+      "[       1,     2.67)       3 ########################################";
+      "[    2.67,     4.33)       1 #############";
+      "[    4.33,        6)       1 #############";
+      "[       6,     7.67)       0 ";
+      "[    7.67,     9.33)       1 #############";
+      "[    9.33,       11)       0 ";
+      "[      11,     12.7)       0 ";
+      "[    12.7,     14.3)       1 #############";
+      "[    14.3,       16)       0 ";
+      "[      16,     17.7)       0 ";
+      "[    17.7,     19.3)       0 ";
+      "[    19.3,       21)       1 #############";
+      "";
+      "round-latency histogram: equal [msg]";
+      "[       4,     4.08)       3 ########################################";
+      "";
+      "round-latency histogram: single [state]";
+      "[       7,     7.08)       1 ########################################";
+      "";
+    ]
+
+let test_report_histogram_bytes () =
+  let ledger = Ledger.create () in
+  let span layer name ~messages ~rounds =
+    Trace.with_span ~ledger layer name (fun () ->
+        Ledger.charge ledger ~label:name ~messages ~rounds)
+  in
+  let (), dump =
+    Trace.profiled (fun () ->
+        List.iter
+          (fun rounds -> span Trace.State "multi" ~messages:100 ~rounds)
+          [ 1; 2; 2; 3; 5; 8; 13; 21 ];
+        for _ = 1 to 3 do
+          span Trace.Msg "equal" ~messages:50 ~rounds:4
+        done;
+        span Trace.State "single" ~messages:10 ~rounds:7)
+  in
+  checks "report bytes" expected_report
+    (Trace.Report.render (Trace.Report.of_dump dump))
 
 (* --- qcheck: spans nest properly for arbitrary call trees --- *)
 
@@ -365,5 +423,7 @@ let suite =
       test_report_single_sample;
     Alcotest.test_case "report renders identical samples" `Quick
       test_report_identical_samples;
+    Alcotest.test_case "report histogram bytes" `Quick
+      test_report_histogram_bytes;
     QCheck_alcotest.to_alcotest prop_spans_nest;
   ]
