@@ -28,6 +28,23 @@ let test_fnv_known_values () =
     (Audit.Fnv.string (Audit.Fnv.string Audit.Fnv.init "ab") "c"
     <> Audit.Fnv.string (Audit.Fnv.string Audit.Fnv.init "a") "bc")
 
+(* [Fnv.int] folds the eight little-endian bytes of [Int64.of_int v]:
+   these pin its bytes at the extremes of the 63-bit range, where the
+   sign extension into bit 63 must come out the same. *)
+let test_fnv_int_known_answers () =
+  List.iter
+    (fun (v, hex) ->
+      checks (Printf.sprintf "int %d" v) hex
+        (Audit.Fnv.to_hex (Audit.Fnv.int Audit.Fnv.init v)))
+    [
+      (0, "a8c7f832281a39c5");
+      (1, "89cd31291d2aefa4");
+      (-1, "8cf51a8bfca3883d");
+      (max_int, "8cf55a8bfca3f4fd");
+      (min_int, "a8c7b8322819cd05");
+      (1 lsl 40, "a01e7d3223323b1a");
+    ]
+
 let test_fnv_hex_round_trip () =
   let d = Audit.Fnv.int64 Audit.Fnv.init (-1L) in
   (match Audit.Fnv.of_hex (Audit.Fnv.to_hex d) with
@@ -317,6 +334,7 @@ let test_bisect_missing_frame_diverges () =
 let suite =
   [
     Alcotest.test_case "fnv known values" `Quick test_fnv_known_values;
+    Alcotest.test_case "fnv int known answers" `Quick test_fnv_int_known_answers;
     Alcotest.test_case "fnv hex round trip" `Quick test_fnv_hex_round_trip;
     Alcotest.test_case "engine digests deterministic" `Quick
       test_digests_deterministic;

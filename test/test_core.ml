@@ -421,6 +421,62 @@ let test_engine_exchange_unknown_cluster () =
   Alcotest.check_raises "unknown cluster" Not_found (fun () ->
       ignore (Engine.exchange_cluster e 999_999))
 
+(* Epoch golden.  A scaled engine (the E15 constructor) after 200 paired
+   join/leave steps runs three sharded exchange epochs; every epoch's
+   report, the ledger totals the epoch charges and the final digests are
+   literals recorded before the epoch's view cost was computed once per
+   cluster.  Both engine representations run the same epoch code, so the
+   arena-vs-reference suite cannot catch a change in what it charges;
+   these literals can. *)
+let epoch_golden =
+  [
+    "epoch 1 messages=5390944275 rounds=1248 walks=4096 walk_hops=133375";
+    "epoch 2 messages=5441180390 rounds=1202 walks=4096 walk_hops=134904";
+    "epoch 3 messages=5415700946 rounds=972 walks=4096 walk_hops=134409";
+    "ledger exchange.swap messages=25757393849 rounds=0";
+    "ledger exchange.view_update messages=116203337216 rounds=7597";
+    "ledger randcl messages=907819915398 rounds=108926804";
+    "digest honesty 7ac1e275c7eb28a4";
+    "digest ledger 0446fee12deb69e4";
+    "digest overlay cd6da65715ce235f";
+    "digest rng 270f6b84cac60072";
+    "digest table 4fed71653012914a";
+  ]
+
+let test_engine_epoch_golden () =
+  let params =
+    Params.make ~n_max:(1 lsl 13) ~tau:0.15 ~walk_mode:Params.Direct_sample
+      ~allow_split_merge:true ()
+  in
+  let rng = Rng.create 21L in
+  let e = Engine.create_scaled ~seed:21L params ~initial:(population rng 4096 0.15) in
+  for _ = 1 to 200 do
+    let honesty = if Rng.bernoulli rng 0.15 then Node.Byzantine else Node.Honest in
+    ignore (Engine.join e honesty);
+    ignore (Engine.leave e (Engine.random_node e))
+  done;
+  let epochs =
+    List.init 3 (fun i ->
+        let r = Engine.exchange_epoch e in
+        Printf.sprintf "epoch %d messages=%d rounds=%d walks=%d walk_hops=%d" (i + 1)
+          r.Engine.messages r.Engine.rounds r.Engine.walks r.Engine.walk_hops)
+  in
+  let ledger =
+    List.filter_map
+      (fun (label, messages, rounds) ->
+        if List.mem label [ "randcl"; "exchange.swap"; "exchange.view_update" ] then
+          Some (Printf.sprintf "ledger %s messages=%d rounds=%d" label messages rounds)
+        else None)
+      (Metrics.Ledger.labels (Engine.ledger e))
+  in
+  let digests =
+    List.map
+      (fun (name, d) -> Printf.sprintf "digest %s %s" name (Audit.Fnv.to_hex d))
+      (Audit.Digest_of.engine e)
+  in
+  Engine.check_invariants e;
+  Alcotest.(check (list string)) "epoch golden" epoch_golden (epochs @ ledger @ digests)
+
 let test_engine_rand_cl_distribution () =
   let e = make_engine () in
   let tbl = Engine.table e in
@@ -559,6 +615,7 @@ let suite =
     Alcotest.test_case "engine rejoin policy" `Quick test_engine_rejoin_policy;
     Alcotest.test_case "engine exchange cluster" `Quick test_engine_exchange_cluster;
     Alcotest.test_case "engine exchange unknown" `Quick test_engine_exchange_unknown_cluster;
+    Alcotest.test_case "engine exchange epoch golden" `Quick test_engine_epoch_golden;
     Alcotest.test_case "engine rand_cl distribution" `Quick test_engine_rand_cl_distribution;
     Alcotest.test_case "engine exact walk mode" `Quick test_engine_exact_walk_mode;
     Alcotest.test_case "engine random_node_where" `Quick test_engine_random_node_where;

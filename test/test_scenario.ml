@@ -220,6 +220,37 @@ let test_msg_golden () =
     "stat lines = golden" golden_summaries
     (List.map (fun (label, s) -> label ^ " " ^ Stats.summary s) cells)
 
+(* ---------- golden state-engine run ----------
+
+   The same pin for the state-level engine: the digest stream and stat
+   lines of the steady scenario on [`State], recorded with
+   [now_sim audit state --cells 2 --seed 5] and committed under
+   test/golden.  The arena-vs-reference suite cannot see a change to
+   code both engines share ({!Audit.Digest_of}, the exchange epoch's
+   charges); this file can. *)
+
+let state_golden_summaries =
+  [
+    "state:steady n=240 #C=3 joins=12 leaves=12 splits=0 merges=0 churn-fail=0 \
+     min-honest=0.790 viol=0 msgs=911132501";
+    "state:steady n=240 #C=3 joins=12 leaves=12 splits=0 merges=0 churn-fail=0 \
+     min-honest=0.766 viol=0 msgs=914251676";
+  ]
+
+let test_state_golden () =
+  let r = Audit.create () in
+  let cells =
+    Audit.with_recorder r (fun () ->
+        Scenario.cells ~jobs:1 ~engine:`State ~seed:5 ~cells:2 Scenario.steady)
+  in
+  let golden =
+    In_channel.with_open_bin "golden/state_steady.jsonl" In_channel.input_all
+  in
+  checks "digest stream = golden" golden (Audit.Export.jsonl_string r);
+  Alcotest.(check (list string))
+    "stat lines = golden" state_golden_summaries
+    (List.map (fun (label, s) -> label ^ " " ^ Stats.summary s) cells)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_diurnal_tracks_band;
@@ -242,4 +273,6 @@ let suite =
       test_msg_driver_supports;
     Alcotest.test_case "equivocating msg run matches the golden stream" `Quick
       test_msg_golden;
+    Alcotest.test_case "steady state-engine run matches the golden stream" `Quick
+      test_state_golden;
   ]
