@@ -745,7 +745,19 @@ let resume_cmd =
     let* strategy = Adversary.strategy_of_name ~steps strategy in
     setup_logs verbose;
     let* data = read snapshot_path in
-    let engine = Engine.load data in
+    (* [Engine.load] still raises on a damaged file (ROADMAP item 3): every
+       exception a truncated or garbled snapshot was seen to raise is bad
+       input, not an internal error. *)
+    let* engine =
+      let bad reason = Error (Printf.sprintf "%s: %s" snapshot_path reason) in
+      match Engine.load data with
+      | engine -> Ok engine
+      | exception Failure reason -> bad reason
+      | exception Invalid_argument reason -> bad reason
+      | exception End_of_file -> bad "truncated snapshot (End_of_file)"
+      | exception Not_found -> bad "damaged snapshot (Not_found)"
+      | exception Scanf.Scan_failure reason -> bad reason
+    in
     Printf.printf "resumed: n=%d clusters=%d at time step %d\n%!"
       (Engine.n_nodes engine) (Engine.n_clusters engine) (Engine.time_step engine);
     drive_and_report ~engine ~seed ~strategy ~steps ~snapshot_out

@@ -4,10 +4,17 @@
     it ({!Fnv}) into five subsystem digests, always over explicitly
     {e sorted} views (cluster ids, member lists, overlay edges, ledger
     labels, RNG stream names) so the digest never depends on iteration
-    or insertion order:
+    or insertion order.  The sorted order comes from ascending walks and
+    int or string comparisons, never from polymorphic [compare]: the
+    state-level table is one pass over the node ids (the view's
+    [cluster_of]) into per-cluster buckets, each ascending by
+    construction; the overlay is {!Dsgraph.Graph.iter_sorted_edges};
+    ledger labels come sorted from {!Metrics.Ledger.labels}.  A
+    state-level frame therefore costs time linear in the nodes and edges
+    it folds.  The subsystems:
 
-    - [table] — the cluster partition: every cluster id and its sorted
-      membership;
+    - [table] — the cluster partition: every cluster id, its members in
+      ascending order, then [-1];
     - [honesty] — the corruption marks (and, state-level, presence) of
       every node;
     - [overlay] — the overlay adjacency: {!Dsgraph.Graph.version}, vertex

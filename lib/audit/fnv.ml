@@ -11,7 +11,7 @@ let prime = 0x100000001b3L
 
 let init = offset_basis
 
-let byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) prime
+let[@inline] byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) prime
 
 let int64 h v =
   let h = ref h in
@@ -20,7 +20,19 @@ let int64 h v =
   done;
   !h
 
-let int h v = int64 h (Int64.of_int v)
+(* The bytes of [Int64.of_int v], folded straight from [v] so the call
+   inlines and allocates nothing: bytes 0-6 are [v]'s own bits, and the
+   top byte [v asr 56] carries the sign into bit 63 exactly as the
+   sign extension does. *)
+let[@inline] int h v =
+  let h = byte h v in
+  let h = byte h (v asr 8) in
+  let h = byte h (v asr 16) in
+  let h = byte h (v asr 24) in
+  let h = byte h (v asr 32) in
+  let h = byte h (v asr 40) in
+  let h = byte h (v asr 48) in
+  byte h (v asr 56)
 
 let string h s =
   let h = ref h in

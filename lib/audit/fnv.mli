@@ -19,7 +19,9 @@ val int64 : t -> int64 -> t
 (** Fold all eight bytes, little-endian. *)
 
 val int : t -> int -> t
-(** [int h v] is [int64 h (Int64.of_int v)]. *)
+(** [int h v] is [int64 h (Int64.of_int v)], folded straight from the
+    63-bit int: the call inlines and allocates nothing, so a loop that
+    keeps its running digest in a local [ref] stays unboxed. *)
 
 val string : t -> string -> t
 (** Fold the bytes of the string followed by a [0xff] terminator, so

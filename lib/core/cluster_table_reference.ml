@@ -219,7 +219,7 @@ let n_clusters t = Vec.length t.ids
 
 let n_nodes t = t.total_nodes
 
-let cluster_ids t = List.sort compare (Vec.to_list t.ids)
+let cluster_ids t = List.sort Int.compare (Vec.to_list t.ids)
 
 let max_size t =
   let best = ref 0 in

@@ -695,7 +695,13 @@ module Make (Tbl : Table_intf.S) : S with type table := Tbl.t = struct
      [Direct_sample]; the walk cost is charged analytically from the same
      formulas as {!rand_cl_direct} (with the mean cluster size standing
      in for the per-attempt candidate size — the plan does not retain the
-     rejected candidates). *)
+     rejected candidates).
+
+     Swaps keep every cluster's size and nothing in the epoch edits the
+     overlay, so each cluster's view-update cost
+     ([sum_neighbor_view_cost]) and every size are constant from the
+     plan to the last apply: one table of view costs per epoch, read at
+     apply time, is exact, at one neighbourhood scan per cluster. *)
   let exchange_epoch_run t acc =
     let ids = Array.of_list (Tbl.cluster_ids t.tbl) in
     let n_c = Array.length ids in
@@ -739,16 +745,24 @@ module Make (Tbl : Table_intf.S) : S with type table := Tbl.t = struct
         out
       in
       let plans = Exec.par_map plan (List.init n_c (fun i -> i)) in
+      let view_cost = Array.map (fun cid -> sum_neighbor_view_cost t cid) ids in
+      (* [stamp.(d) = i + 1] once cluster index [i]'s apply has charged
+         destination [d]: the distinct touched clusters, without a table. *)
+      let stamp = Array.make n_c 0 in
       (* Apply + charge, sequentially in cluster-index order. *)
       let walk_rounds = (hops_per_segment * Cost_model.hop_rounds) + Cost_model.randnum_rounds in
       let epoch_max = ref 0 in
       List.iteri
         (fun i plan ->
-          let cid = ids.(i) in
-          let touched = Hashtbl.create 16 in
+          (* The cluster's own cost once, plus each distinct destination
+             once.  [i] is not pre-marked: a member planned from [i] may
+             already have been swapped out by an earlier cluster's apply,
+             and if its walk lands back in [i] that counts [i] again. *)
+          let view_messages = ref view_cost.(i) in
           let max_rounds = ref 0 in
           for j = 0 to sizes.(i) - 1 do
-            let dest = ids.(plan.(3 * j)) in
+            let d = plan.(3 * j) in
+            let dest = ids.(d) in
             let slot = plan.((3 * j) + 1) in
             let attempts = plan.((3 * j) + 2) + 1 in
             Ledger.charge_handle t.h_randcl
@@ -765,25 +779,23 @@ module Make (Tbl : Table_intf.S) : S with type table := Tbl.t = struct
             if dest <> home then begin
               let b = Tbl.member_at t.tbl dest slot in
               Tbl.swap t.tbl node b;
+              let s_dest = sizes.(d) in
               Ledger.charge_handle t.h_swap
                 ~messages:
-                  (Cost_model.valchan_messages ~src:sizes.(i) ~dst:(Tbl.size t.tbl dest)
-                  + Cost_model.randnum_messages ~size:(Tbl.size t.tbl dest)
-                  + Cost_model.transfer_messages ~src:sizes.(i) ~dst:(Tbl.size t.tbl dest))
+                  (Cost_model.valchan_messages ~src:sizes.(i) ~dst:s_dest
+                  + Cost_model.randnum_messages ~size:s_dest
+                  + Cost_model.transfer_messages ~src:sizes.(i) ~dst:s_dest)
                 ~rounds:0;
               rounds :=
                 !rounds + Cost_model.valchan_rounds + Cost_model.randnum_rounds + 1;
-              Hashtbl.replace touched dest ()
+              if stamp.(d) <> i + 1 then begin
+                stamp.(d) <- i + 1;
+                view_messages := !view_messages + view_cost.(d)
+              end
             end;
             if !rounds > !max_rounds then max_rounds := !rounds
           done;
-          let touched = Hashtbl.fold (fun c () l -> c :: l) touched [] in
-          let view_messages =
-            List.fold_left
-              (fun sum c -> sum + sum_neighbor_view_cost t c)
-              0 (cid :: touched)
-          in
-          Ledger.charge_handle t.h_view_update ~messages:view_messages ~rounds:1;
+          Ledger.charge_handle t.h_view_update ~messages:!view_messages ~rounds:1;
           if !max_rounds + 1 > !epoch_max then epoch_max := !max_rounds + 1)
         plans;
       (* Clusters shuffle in parallel: the epoch's critical path is the
@@ -1062,6 +1074,11 @@ module Make (Tbl : Table_intf.S) : S with type table := Tbl.t = struct
       n_clusters = (fun () -> n_clusters t);
       cluster_ids = (fun () -> Tbl.cluster_ids t.tbl);
       members = (fun cid -> Tbl.members t.tbl cid);
+      cluster_of =
+        (fun id ->
+          match Tbl.cluster_of t.tbl id with
+          | cid -> cid
+          | exception Not_found -> -1);
       cluster_stats = (fun () -> cluster_stats t);
       min_honest_fraction = (fun () -> min_honest_fraction t);
       violations_now = (fun () -> violations_now t);

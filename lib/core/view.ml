@@ -42,6 +42,7 @@ type t = {
   n_clusters : unit -> int;
   cluster_ids : unit -> int list;
   members : int -> int list;
+  cluster_of : int -> int;
   cluster_stats : unit -> (int * int * int) list;
   min_honest_fraction : unit -> float;
   violations_now : unit -> int;
@@ -102,9 +103,7 @@ let save v =
         (String.concat " " (List.map string_of_int (v.members cid))))
     (v.cluster_ids ());
   (* Overlay edges, canonically ordered so snapshots are stable. *)
-  List.iter
-    (fun (u, vx) -> addf "edge %d %d" u vx)
-    (List.sort compare (Dsgraph.Graph.edges (v.graph ())));
+  Dsgraph.Graph.iter_sorted_edges (v.graph ()) (fun u vx -> addf "edge %d %d" u vx);
   (* Pending re-joins (ordered). *)
   addf "pending %s" (String.concat " " (List.map string_of_int (v.pending_rejoin ())));
   (* Ledger. *)

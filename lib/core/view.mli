@@ -49,6 +49,13 @@ type t = {
   n_clusters : unit -> int;  (** live clusters *)
   cluster_ids : unit -> int list;  (** live cluster ids, sorted *)
   members : int -> int list;  (** member list of one cluster, slot order *)
+  cluster_of : int -> int;
+      (** the cluster holding a node id, or [-1] when the node is in no
+          cluster: absent, or present but queued to re-join under
+          [Rejoin_self].  O(1) and allocation-free, so one pass over the
+          ids [0 .. total_allocated - 1] buckets every cluster's members
+          in ascending id order (the audit [table] digest's counting
+          sort). *)
   cluster_stats : unit -> (int * int * int) list;
       (** [(cid, size, byz)] per cluster, sorted by id — integer counts so
           bound checks avoid float rounding at exactly 2/3 *)

@@ -116,7 +116,7 @@ let sorted_neighbors g v =
     | Some arr -> arr
     | None ->
       let arr = Array.copy (iter_array e) in
-      Array.sort compare arr;
+      Array.sort Int.compare arr;
       e.sorted_cache <- Some arr;
       arr)
 
@@ -163,6 +163,23 @@ let copy g =
       Hashtbl.iter (fun u () -> if v < u then ignore (add_edge g' v u)) e.nbrs)
     g.adj;
   g'
+
+(* Ascending vertices, each through its memoised ascending neighbour
+   array, keeping the upper half of every adjacency: the sequence
+   [List.sort compare (edges g)] gives, without building or sorting a
+   list of pairs. *)
+let iter_sorted_edges g f =
+  let vs = Array.make (Hashtbl.length g.adj) 0 in
+  let i = ref 0 in
+  Hashtbl.iter
+    (fun v _ ->
+      vs.(!i) <- v;
+      incr i)
+    g.adj;
+  Array.sort Int.compare vs;
+  Array.iter
+    (fun u -> Array.iter (fun v -> if u < v then f u v) (sorted_neighbors g u))
+    vs
 
 let edges g =
   Hashtbl.fold

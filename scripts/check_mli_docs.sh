@@ -2,7 +2,8 @@
 # Doc-coverage lint for the public interfaces of lib/adversary, lib/apps,
 # lib/core,
 # lib/asim, lib/audit, lib/cluster, lib/monitor, lib/scenario and
-# lib/simkernel, plus lib/metrics/json.mli and lib/metrics/histogram.mli:
+# lib/simkernel, plus lib/graph/graph.mli, lib/metrics/json.mli and
+# lib/metrics/histogram.mli:
 # every .mli must open with a module-level
 # (** ... *) header, and every top-level `val`/`type`/`exception` item
 # must carry an odoc comment — either ending within the three lines above
@@ -75,7 +76,7 @@ check_file() {
     esac
 }
 
-for f in lib/adversary/*.mli lib/core/*.mli lib/apps/*.mli lib/asim/*.mli lib/audit/*.mli lib/cluster/*.mli lib/monitor/*.mli lib/scenario/*.mli lib/simkernel/*.mli lib/metrics/json.mli lib/metrics/histogram.mli; do
+for f in lib/adversary/*.mli lib/core/*.mli lib/apps/*.mli lib/asim/*.mli lib/audit/*.mli lib/cluster/*.mli lib/monitor/*.mli lib/scenario/*.mli lib/simkernel/*.mli lib/graph/graph.mli lib/metrics/json.mli lib/metrics/histogram.mli; do
     check_file "$f"
 done
 

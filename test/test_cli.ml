@@ -82,6 +82,29 @@ let test_refused args () =
       checkb "a now_sim: line on stderr" true (contains "now_sim: " err);
       checkb "no uncaught exception" false (contains "uncaught exception" err))
 
+(* Damaged snapshots are bad input too: a one-line garbage file (the
+   loader's [Failure]) and the first 300 bytes of a valid snapshot
+   ([End_of_file]). *)
+let test_resume_damaged_snapshot () =
+  in_temp_dir (fun dir ->
+      let path name = Filename.concat dir name in
+      Out_channel.with_open_bin (path "G") (fun oc ->
+          Out_channel.output_string oc "garbage\n");
+      checki "churn --save-snapshot exit 0" 0
+        (fst (run dir now_sim "churn --seed 11 --steps 20 --save-snapshot S"));
+      let valid = slurp (path "S") in
+      Out_channel.with_open_bin (path "T") (fun oc ->
+          Out_channel.output_string oc (String.sub valid 0 300));
+      List.iter
+        (fun file ->
+          let args = "resume --snapshot " ^ file ^ " --steps 5" in
+          let code, err = run dir now_sim args in
+          checki (args ^ ": exit 124") 124 code;
+          checkb (args ^ ": names the file") true (contains ("now_sim: " ^ file) err);
+          checkb (args ^ ": no uncaught exception") false
+            (contains "uncaught exception" err))
+        [ "G"; "T" ])
+
 (* The two switches no other test or CI step turns on. *)
 let test_exec_stats_switches () =
   in_temp_dir (fun dir ->
@@ -119,6 +142,8 @@ let suite =
     (fun args -> Alcotest.test_case ("refused: " ^ args) `Quick (test_refused args))
     refused
   @ [
+      Alcotest.test_case "resume refuses damaged snapshots" `Quick
+        test_resume_damaged_snapshot;
       Alcotest.test_case "exec-stats and profile-alloc run" `Quick
         test_exec_stats_switches;
       Alcotest.test_case "bench records round trip" `Slow

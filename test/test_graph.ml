@@ -239,6 +239,30 @@ let prop_remove_vertex_cleans =
       List.for_all (fun (u, v) -> u <> 0 && v <> 0) (Graph.edges g)
       && List.for_all (fun v -> not (Graph.has_edge g v 0)) (Graph.vertices g))
 
+(* The ascending edge walk lists exactly the sorted edge list, also after
+   edge and vertex removals (which invalidate the memoised neighbour
+   arrays it reads). *)
+let prop_sorted_edge_walk =
+  QCheck.Test.make ~name:"iter_sorted_edges = List.sort compare (edges g)" ~count:300
+    QCheck.(
+      pair graph_gen
+        (list_of_size (QCheck.Gen.int_range 0 20)
+           (pair (int_range 0 11) (int_range 0 11))))
+    (fun (edges, removals) ->
+      let g = Graph.create () in
+      List.iter (fun (u, v) -> ignore (Graph.add_edge g u v)) edges;
+      let walk () =
+        let acc = ref [] in
+        Graph.iter_sorted_edges g (fun u v -> acc := (u, v) :: !acc);
+        List.rev !acc
+      in
+      let before = walk () = List.sort compare (Graph.edges g) in
+      List.iter
+        (fun (u, v) ->
+          if u = v then Graph.remove_vertex g u else ignore (Graph.remove_edge g u v))
+        removals;
+      before && walk () = List.sort compare (Graph.edges g))
+
 let suite =
   [
     Alcotest.test_case "add/remove edge" `Quick test_add_remove_edge;
@@ -266,4 +290,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_edge_count_consistent;
     QCheck_alcotest.to_alcotest prop_degree_sum;
     QCheck_alcotest.to_alcotest prop_remove_vertex_cleans;
+    QCheck_alcotest.to_alcotest prop_sorted_edge_walk;
   ]
