@@ -161,6 +161,50 @@ let test_mix_deterministic () =
   checkb "order matters" true
     (Randnum.mix [ 1; 2; 3 ] ~range:1_000_000 <> Randnum.mix [ 3; 2; 1 ] ~range:1_000_000)
 
+(* ---------- the sessions' trace events ----------
+
+   Every event one randNum draw and one walk.token transfer emit under a
+   net-detail collector, against test/golden/session_net_detail.jsonl:
+   the spans with their message and round charges, the [byz.*] points,
+   and the kernel-format [net.round], [net.byz.*] and [net.send.*] points
+   in send order.  Cluster 0 has six members, one [Silent] (it escrows
+   nothing, so the draw charges 2 * 5 * 5 = 50 messages) and one
+   [Fixed]; cluster 1's sources include an equivocating and a
+   misrouting member. *)
+
+let session_config () =
+  let byz = function
+    | 1 -> Some B.Silent
+    | 4 -> Some (B.Fixed 9)
+    | 10 -> Some (B.Equivocate (3, 4))
+    | 11 -> Some (B.Misroute_walk 5)
+    | _ -> None
+  in
+  let clusters =
+    [ (0, List.init 6 (fun i -> i)); (1, [ 10; 11; 12; 13 ]); (2, [ 20; 21; 22 ]) ]
+  in
+  let overlay = Dsgraph.Graph.create () in
+  ignore (Dsgraph.Graph.add_edge overlay 0 1);
+  ignore (Dsgraph.Graph.add_edge overlay 1 2);
+  Config.make ~rng:(Rng.of_int 7) ~byzantine:byz ~clusters ~overlay ()
+
+let test_session_events_golden () =
+  let cfg = session_config () in
+  let (), dump =
+    Trace.profiled ~net_detail:true (fun () ->
+        ignore (Randnum.run cfg ~cluster:0 ~range:100);
+        ignore
+          (Valchan.transmit cfg ~src_cluster:1 ~dst_cluster:2 ~label:"walk.token"
+             ~payload:7 ()))
+  in
+  checki "nothing dropped" 0 dump.Trace.dropped;
+  checki "randnum charge" 50
+    (Metrics.Ledger.label_messages (Config.ledger cfg) "randnum");
+  let golden =
+    In_channel.with_open_bin "golden/session_net_detail.jsonl" In_channel.input_all
+  in
+  Alcotest.check Alcotest.string "events = golden" golden (Trace.to_jsonl dump)
+
 (* ---------- walk / randCl ---------- *)
 
 let test_rand_cl_selects_cluster () =
@@ -307,6 +351,8 @@ let suite =
     Alcotest.test_case "randnum byz influence bounded" `Quick test_randnum_byz_cannot_skew_much;
     Alcotest.test_case "randnum validation" `Quick test_randnum_validation;
     Alcotest.test_case "mix deterministic" `Quick test_mix_deterministic;
+    Alcotest.test_case "session events match the golden rendering" `Quick
+      test_session_events_golden;
     Alcotest.test_case "rand_cl selects" `Quick test_rand_cl_selects_cluster;
     Alcotest.test_case "rand_cl proportional" `Quick test_rand_cl_proportional;
     Alcotest.test_case "pick_node uniform-ish" `Quick test_pick_node_uniformish;

@@ -179,6 +179,14 @@ let prop_snapshot_roundtrip_any_script =
 (* Two configs built from the same seed follow the same RNG trajectory, so
    the batched session and the reference session can be compared on equal
    footing (running both on one config would interleave their draws). *)
+
+(* The result of [f] and every point it emitted under a net-detail
+   collector: the [byz.*] deviations and the kernel-format [net.round],
+   [net.byz.*] and [net.send.*] points, in emission order.  Spans are
+   left out because only [transmit] opens one. *)
+let session_points f =
+  let r, dump = Trace.profiled ~net_detail:true f in
+  (r, List.filter (function Trace.Point _ -> true | _ -> false) dump.Trace.events)
 let mk_valchan_cfg seed ~src_size ~dst_size ~src_byz ~dst_byz =
   let module B = Agreement.Byz_behavior in
   let strategies = [| B.Silent; B.Fixed 9; B.Equivocate (1, 2); B.Random_noise 3 |] in
@@ -216,10 +224,23 @@ let prop_valchan_batched_equals_reference =
         Cluster.Valchan.transmit_reference cfg2 ~src_cluster:0 ~dst_cluster:1
           ~payload:7 ()
       in
+      let p1 =
+        session_points (fun () ->
+            Cluster.Valchan.transmit
+              (mk_valchan_cfg seed ~src_size ~dst_size ~src_byz ~dst_byz)
+              ~src_cluster:0 ~dst_cluster:1 ~payload:7 ())
+      in
+      let p2 =
+        session_points (fun () ->
+            Cluster.Valchan.transmit_reference
+              (mk_valchan_cfg seed ~src_size ~dst_size ~src_byz ~dst_byz)
+              ~src_cluster:0 ~dst_cluster:1 ~payload:7 ())
+      in
       r1.Cluster.Valchan.unanimous = r2.Cluster.Valchan.unanimous
       && r1.Cluster.Valchan.verdicts = r2.Cluster.Valchan.verdicts
       && Metrics.Ledger.labels (Cluster.Config.ledger cfg1)
-         = Metrics.Ledger.labels (Cluster.Config.ledger cfg2))
+         = Metrics.Ledger.labels (Cluster.Config.ledger cfg2)
+      && p1 = p2)
 
 (* The same equivalence where a forged value can win — sources with a
    Byzantine majority, up to all of them, agreeing on 9 — and on a
@@ -265,9 +286,92 @@ let prop_valchan_batched_forged_majority =
         Cluster.Valchan.transmit_reference cfg2 ~src_cluster:0 ~dst_cluster:1
           ~label:"walk.token" ~payload:7 ()
       in
+      let p1 =
+        session_points (fun () ->
+            Cluster.Valchan.transmit (mk ()) ~src_cluster:0 ~dst_cluster:1
+              ~label:"walk.token" ~payload:7 ())
+      in
+      let p2 =
+        session_points (fun () ->
+            Cluster.Valchan.transmit_reference (mk ()) ~src_cluster:0 ~dst_cluster:1
+              ~label:"walk.token" ~payload:7 ())
+      in
       r1 = r2
       && Metrics.Ledger.labels (Cluster.Config.ledger cfg1)
-         = Metrics.Ledger.labels (Cluster.Config.ledger cfg2))
+         = Metrics.Ledger.labels (Cluster.Config.ledger cfg2)
+      && p1 = p2)
+
+(* ---------- randNum vs its kernel-based session ---------- *)
+
+(* The draw as it ran on [Simkernel.Net]: every member is a node, and
+   each member that escrows multicasts to the others in rounds 1 and 2.
+   Kept as the oracle [Randnum.run] is checked against. *)
+let randnum_on_kernel cfg ~cluster ~range =
+  let module Net = Simkernel.Net in
+  let module Randnum = Cluster.Randnum in
+  let members = Cluster.Config.members cfg cluster in
+  let n = List.length members in
+  let ledger = Cluster.Config.ledger cfg in
+  Trace.with_span
+    ~attrs:[ ("cluster", cluster); ("size", n) ]
+    ~ledger
+    ~time:(Metrics.Ledger.total_rounds ledger)
+    Trace.Msg "randnum"
+    (fun () ->
+      let secure = Randnum.secure cfg members in
+      let net = Net.create ~ledger () in
+      let contributions = ref [] in
+      List.iter
+        (fun id ->
+          let contribution = Randnum.contribution cfg id in
+          (match contribution with
+          | Some c -> contributions := (id, c) :: !contributions
+          | None -> ());
+          Net.add_node net ~id (fun ~round ~inbox ->
+              ignore inbox;
+              if (round = 1 || round = 2) && contribution <> None then
+                Net.multicast net ~src:id ~dsts:members ~except:id ~label:"randnum" 0))
+        members;
+      Net.run_rounds net 2;
+      Randnum.conclude ~secure ~n ~range !contributions)
+
+(* One cluster [0 .. |kinds| - 1]; member [i] is honest (kind 0),
+   [Silent] (1), [Fixed] (2) or [Equivocate] (3). *)
+let mk_randnum_cfg seed kinds =
+  let module B = Agreement.Byz_behavior in
+  let kinds = Array.of_list kinds in
+  let byz node =
+    match kinds.(node) with
+    | 0 -> None
+    | 1 -> Some B.Silent
+    | 2 -> Some (B.Fixed (node + 3))
+    | _ -> Some (B.Equivocate (node, node + 1))
+  in
+  let overlay = Dsgraph.Graph.create () in
+  Dsgraph.Graph.add_vertex overlay 0;
+  Cluster.Config.make ~rng:(Rng.of_int seed) ~byzantine:byz
+    ~clusters:[ (0, List.init (Array.length kinds) Fun.id) ]
+    ~overlay ()
+
+let prop_randnum_equals_kernel_session =
+  QCheck.Test.make
+    ~name:"randNum == its kernel-based session (outcome, charges, trace events)"
+    ~count:200
+    QCheck.(
+      triple small_int (int_range 1 100)
+        (list_of_size (QCheck.Gen.int_range 1 20) (int_range 0 3)))
+    (fun (seed, range, kinds) ->
+      let observe draw =
+        let cfg = mk_randnum_cfg seed kinds in
+        let outcome, dump =
+          Trace.profiled ~net_detail:true (fun () -> draw cfg ~cluster:0 ~range)
+        in
+        let plain_cfg = mk_randnum_cfg seed kinds in
+        let plain = draw plain_cfg ~cluster:0 ~range in
+        ( (outcome, Metrics.Ledger.labels (Cluster.Config.ledger cfg), dump),
+          (plain, Metrics.Ledger.labels (Cluster.Config.ledger plain_cfg)) )
+      in
+      observe Cluster.Randnum.run = observe randnum_on_kernel)
 
 (* ---------- overlay-health cache vs recompute from scratch ---------- *)
 
@@ -316,5 +420,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_snapshot_roundtrip_any_script;
     QCheck_alcotest.to_alcotest prop_valchan_batched_equals_reference;
     QCheck_alcotest.to_alcotest prop_valchan_batched_forged_majority;
+    QCheck_alcotest.to_alcotest prop_randnum_equals_kernel_session;
     QCheck_alcotest.to_alcotest prop_health_cache_matches_recompute;
   ]

@@ -251,6 +251,47 @@ let test_state_golden () =
     "stat lines = golden" state_golden_summaries
     (List.map (fun (label, s) -> label ^ " " ^ Stats.summary s) cells)
 
+(* ---------- per-label charges vs net-detail points ----------
+
+   Two steps of the primitives scenario on the message engine with
+   equivocating members, short enough that the collector drops nothing.
+   Every [net.send.<label>] point stands for one message charged under
+   [label], so each label's point count must equal its ledger messages,
+   and a net-detail run must charge exactly what a plain run charges. *)
+
+let test_msg_charges_match_net_points () =
+  let spec = { Scenario.primitives with Spec.behavior = Some "equivocate" } in
+  let run () =
+    let d = Scenario.Msg_driver.create_cell ~seed:5 ~cell:0 spec in
+    ignore (Scenario.run_driver ~steps:2 spec (Scenario.Msg d));
+    Scenario.Msg_driver.ledger d
+  in
+  let ledger, dump = Trace.profiled ~net_detail:true run in
+  checki "nothing dropped" 0 dump.Trace.dropped;
+  let prefix = "net.send." in
+  let sends = Hashtbl.create 16 in
+  List.iter
+    (function
+      | Trace.Point { name; _ } when String.starts_with ~prefix name ->
+        let skip = String.length prefix in
+        let label = String.sub name skip (String.length name - skip) in
+        Hashtbl.replace sends label
+          (1 + Option.value ~default:0 (Hashtbl.find_opt sends label))
+      | _ -> ())
+    dump.Trace.events;
+  List.iter
+    (fun label -> checkb (label ^ " has sends") true (Hashtbl.mem sends label))
+    [ "randnum"; "valchan"; "walk.token"; "exchange.announce" ];
+  Hashtbl.iter
+    (fun label n ->
+      checki ("messages charged under " ^ label) n
+        (Metrics.Ledger.label_messages ledger label))
+    sends;
+  Alcotest.(check (list (triple string int int)))
+    "plain labels = net-detail labels"
+    (Metrics.Ledger.labels ledger)
+    (Metrics.Ledger.labels (run ()))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_diurnal_tracks_band;
@@ -275,4 +316,6 @@ let suite =
       test_msg_golden;
     Alcotest.test_case "steady state-engine run matches the golden stream" `Quick
       test_state_golden;
+    Alcotest.test_case "msg run charges each label its net.send points" `Quick
+      test_msg_charges_match_net_points;
   ]
