@@ -9,8 +9,6 @@ type t = {
   node_home : (int, int) Hashtbl.t;  (* node id -> cluster id *)
   overlay : Graph.t;
   health_cache : Over.Health_cache.t;
-  net : int Simkernel.Net.t Lazy.t;
-      (* the synchronous sessions' one kernel, created on first use *)
 }
 
 let make ~rng ?ledger ~byzantine ~clusters ~overlay () =
@@ -45,13 +43,11 @@ let make ~rng ?ledger ~byzantine ~clusters ~overlay () =
     node_home;
     overlay;
     health_cache = Over.Health_cache.create ();
-    net = lazy (Simkernel.Net.create ~ledger ());
   }
 
 let rng t = t.rng
 let rng_cursors t = [ ("config", Prng.Rng.save t.rng) ]
 let ledger t = t.ledger
-let net t = Lazy.force t.net
 let overlay t = t.overlay
 
 let overlay_health ?spectral_iterations t =

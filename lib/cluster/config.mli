@@ -2,15 +2,10 @@
     protocol session runs against.
 
     The message-level engine executes NOW's primitives (validated
-    inter-cluster channels, randNum, the biased CTRW, exchange) with real
-    per-node messages on {!Simkernel.Net}, against this explicit
-    configuration.  The state-level engine in [Now_core] is the fast
-    counterpart; experiment E5 cross-validates their cost accounting.
-
-    A configuration and its {!net} belong to one domain at a time: the
-    message engine's sessions reset and reuse that one kernel, so two
-    domains must never run primitives on the same configuration at once
-    (every parallel cell builds its own). *)
+    inter-cluster channels, randNum, the biased CTRW, exchange) against
+    this explicit configuration, charging every per-node message to its
+    {!ledger}.  The state-level engine in [Now_core] is the fast
+    counterpart; experiment E5 cross-validates their cost accounting. *)
 
 type t
 
@@ -53,13 +48,6 @@ val rng_cursors : t -> (string * int64) list
 
 val ledger : t -> Metrics.Ledger.t
 (** The shared message/round cost ledger. *)
-
-val net : t -> int Simkernel.Net.t
-(** The configuration's synchronous kernel, charging {!ledger}: created
-    on first use (configurations that never run a synchronous session
-    never build one) and then shared by every session, each of which
-    {!Simkernel.Net.reset}s it first.  Valid only between sessions — a
-    session's nodes and counters are gone once the next one starts. *)
 
 val overlay : t -> Dsgraph.Graph.t
 (** The inter-cluster overlay graph (vertices are cluster ids). *)

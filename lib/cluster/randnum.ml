@@ -60,31 +60,41 @@ let conclude ~secure ~n ~range contributions =
     { value = mix sorted ~range; secure; stalled; participants }
   end
 
+(* Round 1 escrows every contribution with the other members and round 2
+   reconstructs it; nothing reads those messages (the contributions
+   collected here are what the reconstruction yields), so the session
+   charges them — [2 (n - 1)] per member that escrows — and traces them
+   in the kernel's order instead of sending them. *)
 let run_session cfg ~range ~members ~n =
   let secure = secure cfg members in
-  (* Message-level session: round 1 = escrow broadcast, round 2 =
-     reconstruction broadcast.  The actual share contents do not influence
-     the outcome model beyond the contributions collected below, but the
-     messages are real and counted. *)
-  let net = Config.net cfg in
-  Net.reset net;
-  let contributions : (int * int) list ref = ref [] in
-  List.iter
-    (fun id ->
-      let contribution = contribution cfg id in
-      (match contribution with
-      | Some c -> contributions := (id, c) :: !contributions
-      | None -> () (* silent member: excluded from the mix, consistently *));
-      (* Pure senders: escrow/reconstruction inboxes are modelled
-         analytically (contributions collected above), so no member has
-         an inbox and the kernel only counts the broadcasts. *)
-      Net.add_node ~needs_inbox:false net ~id (fun ~round ~inbox ->
-          ignore inbox;
-          if (round = 1 || round = 2) && contribution <> None then
-            Net.multicast net ~src:id ~dsts:members ~except:id ~label:"randnum" 0))
-    members;
-  Net.run_rounds net 2;
-  conclude ~secure ~n ~range !contributions
+  let contributions =
+    List.fold_left
+      (fun acc id ->
+        match contribution cfg id with
+        | Some c -> (id, c) :: acc
+        | None -> acc (* silent member: excluded from the mix, consistently *))
+      [] members
+  in
+  if Trace.net_detail () then begin
+    let senders = List.rev_map fst contributions in
+    for round = 1 to 2 do
+      Net.trace_round round;
+      List.iter
+        (fun src ->
+          List.iter
+            (fun dst ->
+              if dst <> src then
+                Net.trace_send ~round ~src ~dst ~label:"randnum" ~deviant:false)
+            members)
+        senders
+    done
+  end;
+  let ledger = Config.ledger cfg in
+  Metrics.Ledger.charge ledger ~label:"round" ~messages:0 ~rounds:2;
+  let messages = 2 * List.length contributions * (n - 1) in
+  if messages > 0 then
+    Metrics.Ledger.charge ledger ~label:"randnum" ~messages ~rounds:0;
+  conclude ~secure ~n ~range contributions
 
 let run cfg ~cluster ~range =
   if range <= 0 then invalid_arg "Randnum.run: range must be positive";

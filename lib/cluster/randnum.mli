@@ -15,8 +15,12 @@
     is honest; agreement holds while the reconstruction quorum does, i.e.
     Byzantine members < 2/3.
 
-    Cost charged: [2 |C| (|C|-1)] messages, 2 rounds — matching the
-    paper's O(log^2 N). *)
+    Cost charged: [2 c (|C|-1)] messages, where [c] is the number of
+    members that escrow (a withholding member sends nothing), and 2
+    rounds — matching the paper's O(log^2 N).  Nothing reads those
+    messages, so no kernel runs them: the draw charges ["randnum"] and
+    ["round"] once each and emits the kernel's net-detail points
+    ({!Simkernel.Net.trace_send}). *)
 
 type outcome = {
   value : int;  (** the agreed value in [0, range) *)

@@ -113,11 +113,12 @@ let reference_session cfg ~src_cluster ~dst_cluster ~label ~payload =
    each Byzantine source's first value to each destination (first message
    per sender winning, in send order — exactly what [validate] sees after
    the kernel's stable per-sender sort) lets each verdict be computed from
-   H plus at most one recorded vote per Byzantine source.  All messages
-   are still sent through the configuration's net, which only counts them
-   (nobody is registered with an inbox, destinations not at all):
-   ledger charges, [messages_sent], trace points and Byzantine RNG draws
-   are byte-identical to the reference. *)
+   H plus at most one recorded vote per Byzantine source.  No message is
+   delivered, so none goes through a kernel: the session charges the
+   round-1 sends once (|dst| per honest source, one per copy a corrupted
+   source sends) and traces them in the kernel's order, so ledger
+   charges, trace points and Byzantine RNG draws are byte-identical to
+   the reference. *)
 let transmit_session cfg ~src_cluster ~dst_cluster ~label ~payload =
   let src_members = Config.members cfg src_cluster in
   let dst_members = Config.members cfg dst_cluster in
@@ -148,29 +149,31 @@ let transmit_session cfg ~src_cluster ~dst_cluster ~label ~payload =
       first.(base + j) <- value
     end
   in
-  let net = Config.net cfg in
-  Net.reset net;
-  let next_byz = ref 0 in
+  let detail = Trace.net_detail () in
+  Net.trace_round 1;
+  let sent = ref 0 and next_byz = ref 0 in
   List.iter
-    (fun id ->
-      match Config.byzantine cfg id with
+    (fun src ->
+      match Config.byzantine cfg src with
       | None ->
-        Net.add_node ~needs_inbox:false net ~id (fun ~round ~inbox ->
-            ignore inbox;
-            if round = 1 then
-              Net.multicast net ~src:id ~dsts:dst_members ~label payload)
+        sent := !sent + m;
+        if detail then
+          Array.iter
+            (fun dst -> Net.trace_send ~round:1 ~src ~dst ~label ~deviant:false)
+            dsts
       | Some strategy ->
         let base = !next_byz * m in
         incr next_byz;
-        Net.add_node ~needs_inbox:false net ~id (fun ~round ~inbox ->
-            ignore inbox;
-            if round = 1 then
-              corrupted_sends strategy ~src:id ~dsts:dst_members ~label ~payload
-                (fun ~dst ~deviant v ->
-                  Net.send net ~src:id ~dst ~label ~deviant v;
-                  record base ~dst v)))
+        corrupted_sends strategy ~src ~dsts:dst_members ~label ~payload
+          (fun ~dst ~deviant v ->
+            incr sent;
+            Net.trace_send ~round:1 ~src ~dst ~label ~deviant;
+            record base ~dst v))
     src_members;
-  Net.run_rounds net 2;
+  Net.trace_round 2;
+  let ledger = Config.ledger cfg in
+  Metrics.Ledger.charge ledger ~label:"round" ~messages:0 ~rounds:2;
+  if !sent > 0 then Metrics.Ledger.charge ledger ~label ~messages:!sent ~rounds:0;
   let threshold = List.length src_members / 2 in
   let n_honest_src = List.length src_members - n_byz in
   (* [value]'s votes at destination [j]: H if it is the payload, plus the

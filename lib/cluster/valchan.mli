@@ -7,11 +7,10 @@
     the honest majority determines the accepted value and Byzantine
     members can neither forge nor block it.
 
-    [transmit] runs the exchange as a real 2-round session on the
-    configuration's {!Config.net}: each member of the source cluster sends
-    the payload to each member of the destination cluster — Byzantine
-    members send whatever their behaviour dictates — and each destination
-    node applies the majority rule. *)
+    [transmit] runs the exchange as a 2-round session: each member of the
+    source cluster sends the payload to each member of the destination
+    cluster — Byzantine members send whatever their behaviour dictates —
+    and each destination node applies the majority rule. *)
 
 val validate : members:int list -> inbox:(int * int) list -> int option
 (** Pure majority rule: the payload sent by strictly more than half of
@@ -53,10 +52,12 @@ val transmit :
 
     Quorum checks are batched: one pass per destination built from the
     shared honest vote count plus each Byzantine source's first vote to
-    it, instead of a full {!validate} scan per sender.  Every message is
-    still sent through the configuration's net, which only counts them
-    (no destination reads an inbox), so charging, counters, trace points
-    and Byzantine RNG draws are byte-identical to {!transmit_reference}. *)
+    it, instead of a full {!validate} scan per sender.  No kernel runs:
+    the session charges [label] once with every copy sent (|dst| per
+    honest source, plus each copy a corrupted source sends) and
+    ["round"] with 2 rounds, and emits the kernel's net-detail points
+    ({!Simkernel.Net.trace_send}), so charging, trace points and
+    Byzantine RNG draws are byte-identical to {!transmit_reference}. *)
 
 val transmit_reference :
   Config.t -> src_cluster:int -> dst_cluster:int -> ?label:string -> payload:int -> unit -> result

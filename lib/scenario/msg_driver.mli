@@ -6,7 +6,7 @@
     insert, full exchange, split when oversized), departures run
     Algorithm 2 through [Cluster.Ops.leave] (notify, exchange, cascade,
     merge when undersized), and every escrowed share, walk token and view
-    update is an authenticated message on [Simkernel.Net].  The primitive
+    update is an authenticated per-node message.  The primitive
     drives (walk, randNum, valChan, exchange) run on the driver's
     {!Cluster.Walk.leaves}, so the same driver runs them asynchronously
     over an [Asim.Session]'s leaves ([Async_driver]).  When the spec

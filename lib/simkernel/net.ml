@@ -3,13 +3,11 @@ type 'msg handler = round:int -> inbox:(int * 'msg) list -> unit
 type 'msg node = {
   mutable handler : 'msg handler;
   mutable inbox_rev : (int * 'msg) list;
-  needs_inbox : bool;
 }
 
 type 'msg t = {
   nodes : (int, 'msg node) Hashtbl.t;
   mutable ids_cache : int list option;  (* sorted live ids, rebuilt on churn *)
-  mutable readers : int;  (* registered nodes with an inbox *)
   mutable pending : (int * int * 'msg) list;  (* (src, dst, msg), reversed send order *)
   mutable round : int;
   mutable messages_sent : int;
@@ -22,7 +20,6 @@ let create ?ledger () =
   {
     nodes = Hashtbl.create 256;
     ids_cache = None;
-    readers = 0;
     pending = [];
     round = 0;
     messages_sent = 0;
@@ -30,21 +27,11 @@ let create ?ledger () =
     ledger;
   }
 
-let reset t =
-  Hashtbl.clear t.nodes;
-  t.ids_cache <- None;
-  t.readers <- 0;
-  t.pending <- [];
-  t.round <- 0;
-  t.messages_sent <- 0;
-  t.deviant_sent <- 0
-
 let ledger t = t.ledger
 
-let add_node ?(needs_inbox = true) t ~id handler =
+let add_node t ~id handler =
   if Hashtbl.mem t.nodes id then invalid_arg "Net.add_node: id already in use";
-  Hashtbl.add t.nodes id { handler; inbox_rev = []; needs_inbox };
-  if needs_inbox then t.readers <- t.readers + 1;
+  Hashtbl.add t.nodes id { handler; inbox_rev = [] };
   t.ids_cache <- None
 
 let replace_handler t ~id handler =
@@ -53,12 +40,10 @@ let replace_handler t ~id handler =
   | None -> invalid_arg "Net.replace_handler: unknown node"
 
 let remove_node t id =
-  match Hashtbl.find_opt t.nodes id with
-  | None -> ()
-  | Some node ->
+  if Hashtbl.mem t.nodes id then begin
     Hashtbl.remove t.nodes id;
-    if node.needs_inbox then t.readers <- t.readers - 1;
     t.ids_cache <- None
+  end
 
 let is_alive t id = Hashtbl.mem t.nodes id
 
@@ -73,27 +58,26 @@ let nodes t =
 let check_sender t src =
   if not (is_alive t src) then invalid_arg "Net.send: sender is not alive"
 
-(* Count + trace one message, and queue it only if its destination reads
-   an inbox right now; ledger charging is the caller's (so [multicast]
+let trace_round round =
+  if Trace.net_detail () then
+    Trace.point ~attrs:[ ("round", round) ] ~time:round Trace.Net "net.round"
+
+let trace_send ~round ~src ~dst ~label ~deviant =
+  if Trace.net_detail () then begin
+    let attrs = [ ("dst", dst); ("src", src) ] in
+    if deviant then Trace.point ~attrs ~time:round Trace.Net ("net.byz." ^ label);
+    Trace.point ~attrs ~time:round Trace.Net ("net.send." ^ label)
+  end
+
+(* Count + trace one message, and queue it only if its destination is
+   registered right now; ledger charging is the caller's (so [multicast]
    can charge its whole batch in one ledger update — observably
    identical, the ledger only accumulates totals). *)
 let send_uncharged t ~src ~dst ~label ~deviant msg =
-  if t.readers > 0 then begin
-    match Hashtbl.find t.nodes dst with
-    | { needs_inbox = true; _ } -> t.pending <- (src, dst, msg) :: t.pending
-    | { needs_inbox = false; _ } | (exception Not_found) ->
-      () (* nobody reads it: counted, never queued *)
-  end;
+  if Hashtbl.mem t.nodes dst then t.pending <- (src, dst, msg) :: t.pending;
   t.messages_sent <- t.messages_sent + 1;
-  if deviant then begin
-    t.deviant_sent <- t.deviant_sent + 1;
-    if Trace.net_detail () then
-      Trace.point ~attrs:[ ("dst", dst); ("src", src) ] ~time:t.round Trace.Net
-        ("net.byz." ^ label)
-  end;
-  if Trace.net_detail () then
-    Trace.point ~attrs:[ ("dst", dst); ("src", src) ] ~time:t.round Trace.Net
-      ("net.send." ^ label)
+  if deviant then t.deviant_sent <- t.deviant_sent + 1;
+  trace_send ~round:t.round ~src ~dst ~label ~deviant
 
 let send t ~src ~dst ?(label = "msg") ?(deviant = false) msg =
   check_sender t src;
@@ -101,33 +85,17 @@ let send t ~src ~dst ?(label = "msg") ?(deviant = false) msg =
   Metrics.Ledger.charge t.ledger ~label ~messages:1 ~rounds:0
 
 let multicast t ~src ~dsts ?except ?(label = "msg") msg =
-  if t.readers = 0 && not (Trace.net_detail ()) then begin
-    (* Count-only: no send can be queued or traced, so the batch is just
-       its size. *)
-    let n =
+  let n = ref 0 in
+  List.iter
+    (fun dst ->
       match except with
-      | None -> List.length dsts
-      | Some e -> List.fold_left (fun n dst -> if dst = e then n else n + 1) 0 dsts
-    in
-    if n > 0 then begin
-      check_sender t src;
-      t.messages_sent <- t.messages_sent + n;
-      Metrics.Ledger.charge t.ledger ~label ~messages:n ~rounds:0
-    end
-  end
-  else begin
-    let n = ref 0 in
-    List.iter
-      (fun dst ->
-        match except with
-        | Some e when e = dst -> ()
-        | Some _ | None ->
-          if !n = 0 then check_sender t src;
-          incr n;
-          send_uncharged t ~src ~dst ~label ~deviant:false msg)
-      dsts;
-    if !n > 0 then Metrics.Ledger.charge t.ledger ~label ~messages:!n ~rounds:0
-  end
+      | Some e when e = dst -> ()
+      | Some _ | None ->
+        if !n = 0 then check_sender t src;
+        incr n;
+        send_uncharged t ~src ~dst ~label ~deviant:false msg)
+    dsts;
+  if !n > 0 then Metrics.Ledger.charge t.ledger ~label ~messages:!n ~rounds:0
 
 let round t = t.round
 
@@ -136,14 +104,12 @@ let run_round t =
   List.iter
     (fun (src, dst, msg) ->
       match Hashtbl.find_opt t.nodes dst with
-      | Some ({ needs_inbox = true; _ } as node) ->
-        node.inbox_rev <- (src, msg) :: node.inbox_rev
-      | Some _ | None -> () (* destination departed since the send: message lost *))
+      | Some node -> node.inbox_rev <- (src, msg) :: node.inbox_rev
+      | None -> () (* destination departed since the send: message lost *))
     (List.rev t.pending);
   t.pending <- [];
   t.round <- t.round + 1;
-  if Trace.net_detail () then
-    Trace.point ~attrs:[ ("round", t.round) ] ~time:t.round Trace.Net "net.round";
+  trace_round t.round;
   Metrics.Ledger.charge t.ledger ~label:"round" ~messages:0 ~rounds:1;
   (* Execute handlers in id order; a stable sort on the (already
      send-ordered) inbox groups messages by sender. *)

@@ -17,18 +17,14 @@
     how the message-level cost experiments (E5, E6) measure communication
     complexity.  When a {!Trace} collector with [net_detail] is active,
     every send and round boundary additionally emits a trace point
-    ([net.send.<label>] / [net.round]).
+    ([net.send.<label>] / [net.round]); sessions that charge their sends
+    without a kernel emit the same points through {!trace_send} and
+    {!trace_round}.
 
     Delivery is decided at send time: a message is queued only if its
-    destination is registered {e with an inbox} when it is sent.  A send
-    to an inbox-less or unknown destination is counted, charged and
-    traced like any other, but never queued — registering or re-adding
-    the destination later does not deliver it.  While no registered node
-    has an inbox and no [net_detail] collector is active, {!multicast} is
-    a pure count (one sender check, one pass over the destinations, one
-    ledger charge); the kernel picks that path from its own state.
-    Sessions whose receivers never read an inbox therefore cost no
-    per-message allocation. *)
+    destination is registered when it is sent.  A send to an unknown
+    destination is counted, charged and traced like any other, but never
+    queued — registering the destination later does not deliver it. *)
 
 type 'msg t
 (** A network instance carrying ['msg]-typed messages. *)
@@ -42,33 +38,19 @@ val create : ?ledger:Metrics.Ledger.t -> unit -> 'msg t
 (** A fresh network at round 0.  If [ledger] is omitted a private one is
     created (accessible via {!ledger}). *)
 
-val reset : 'msg t -> unit
-(** Return the network to its state at {!create} — no nodes, nothing
-    queued, round 0, {!messages_sent} and {!deviant_sent} at 0 — keeping
-    the same ledger with its totals.  A caller running many short
-    sessions reuses one network this way instead of creating one per
-    session. *)
-
 val ledger : 'msg t -> Metrics.Ledger.t
 (** The ledger every send and round of this network is charged to. *)
 
-val add_node : ?needs_inbox:bool -> 'msg t -> id:int -> 'msg handler -> unit
-(** Register a node.  Raises [Invalid_argument] if the id is in use.
-
-    [needs_inbox] (default [true]): pass [false] for nodes whose handler
-    never reads [inbox] (pure senders, analytically-evaluated receivers).
-    Messages to them are still counted, charged and traced identically,
-    but never queued (the send-time rule above), and their handler always
-    gets an empty inbox.  A net with no inbox node registered counts its
-    multicasts without touching any destination. *)
+val add_node : 'msg t -> id:int -> 'msg handler -> unit
+(** Register a node.  Raises [Invalid_argument] if the id is in use. *)
 
 val replace_handler : 'msg t -> id:int -> 'msg handler -> unit
 (** Swap a node's behaviour (e.g. between protocol phases). *)
 
 val remove_node : 'msg t -> int -> unit
 (** The node leaves/crashes: it stops receiving and executing.  Queued
-    messages to it are dropped unless the id is registered again, with an
-    inbox, before they are delivered.  No-op if absent. *)
+    messages to it are dropped unless the id is registered again before
+    they are delivered.  No-op if absent. *)
 
 val is_alive : 'msg t -> int -> bool
 (** The failure-detection mechanism the paper assumes: any node may test
@@ -79,8 +61,8 @@ val nodes : 'msg t -> int list
 
 val send : 'msg t -> src:int -> dst:int -> ?label:string -> ?deviant:bool -> 'msg -> unit
 (** Send a message for delivery next round: queued if [dst] is
-    registered with an inbox now, otherwise counted and lost.  The ledger
-    is charged one message under [label] (default ["msg"]).  Raises
+    registered now, otherwise counted and lost.  The ledger is charged
+    one message under [label] (default ["msg"]).  Raises
     [Invalid_argument] if [src] is not alive (departed nodes cannot
     speak).
 
@@ -97,11 +79,7 @@ val multicast :
     member multicasting to the rest of its cluster).  The ledger is
     charged once for the whole batch (same totals as per-destination
     charging; the ledger holds only accumulated counts, so batching is
-    observably identical).  While no registered node has an inbox and no
-    [net_detail] collector is active, the batch is only counted: one
-    sender check (when at least one destination remains), one pass over
-    [dsts] and one ledger charge, with the same counters and charges as
-    the per-destination path. *)
+    observably identical). *)
 
 val round : 'msg t -> int
 (** The current round number (0 before the first {!run_round}). *)
@@ -124,3 +102,21 @@ val messages_sent : 'msg t -> int
 val deviant_sent : 'msg t -> int
 (** How many of {!messages_sent} were marked [deviant] — injected
     Byzantine deviations (see {!send}). *)
+
+(** {2 Net-detail points}
+
+    The kernel emits its [net_detail] points through these two
+    functions, and so do sessions that charge their sends to a ledger
+    without running a kernel: the points' names, attributes and times
+    are written once, here.  Both are no-ops unless a {!Trace} collector
+    with [net_detail] is active. *)
+
+val trace_round : int -> unit
+(** [trace_round r] emits the [net.round] point of the boundary into
+    round [r] (attribute [round], time [r]), as {!run_round} does before
+    running any handler. *)
+
+val trace_send : round:int -> src:int -> dst:int -> label:string -> deviant:bool -> unit
+(** The points of one send during [round] (attributes [dst] and [src],
+    time [round]): [net.byz.<label>] when [deviant], then
+    [net.send.<label>] — exactly what {!send} emits. *)

@@ -152,30 +152,6 @@ let count_points name (dump : Trace.dump) =
        (function Trace.Point { name = n; _ } -> n = name | _ -> false)
        dump.Trace.events)
 
-(* A send to an inbox-less node is counted, charged and traced but never
-   queued — not even when the id comes back with an inbox before the
-   round that would have delivered it. *)
-let test_inboxless_send_never_delivered () =
-  let net = Net.create () in
-  let got = ref [] in
-  let record ~round:_ ~inbox = got := inbox @ !got in
-  (* node 1 reads its inbox, so sends go through the queueing path *)
-  Net.add_node net ~id:1 record;
-  Net.add_node ~needs_inbox:false net ~id:2 record;
-  let (), dump =
-    Trace.profiled ~net_detail:true (fun () ->
-        Net.send net ~src:1 ~dst:2 ~label:"t" "a";
-        Net.run_round net;
-        Net.send net ~src:1 ~dst:2 ~label:"t" "b";
-        Net.remove_node net 2;
-        Net.add_node net ~id:2 record;
-        Net.run_rounds net 2)
-  in
-  checki "counted" 2 (Net.messages_sent net);
-  checki "charged" 2 (Metrics.Ledger.label_messages (Net.ledger net) "t");
-  checki "traced" 2 (count_points "net.send.t" dump);
-  checki "never delivered" 0 (List.length !got)
-
 (* A send to an id nobody holds is counted and lost, even if the id
    registers before the next round; a send after it registers arrives. *)
 let test_unknown_destination_lost () =
@@ -194,83 +170,41 @@ let test_unknown_destination_lost () =
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
     "a send after registration arrives" [ (1, "late") ] !got
 
-let test_reset () =
-  let ledger = Metrics.Ledger.create () in
-  let net = Net.create ~ledger () in
-  let got = ref [] in
-  Net.add_node net ~id:1 (fun ~round:_ ~inbox:_ -> ());
-  Net.add_node net ~id:2 (fun ~round:_ ~inbox -> got := inbox @ !got);
-  Net.send net ~src:1 ~dst:2 ~deviant:true "x";
-  Net.run_round net;
-  Net.send net ~src:1 ~dst:2 "queued";
-  let messages = Metrics.Ledger.total_messages ledger
-  and rounds = Metrics.Ledger.total_rounds ledger in
-  Net.reset net;
-  Alcotest.check (Alcotest.list Alcotest.int) "no nodes" [] (Net.nodes net);
-  checkb "sender gone" false (Net.is_alive net 1);
-  checki "round 0" 0 (Net.round net);
-  checki "messages_sent 0" 0 (Net.messages_sent net);
-  checki "deviant_sent 0" 0 (Net.deviant_sent net);
-  checkb "same ledger" true (Net.ledger net == ledger);
-  checki "ledger messages kept" messages (Metrics.Ledger.total_messages ledger);
-  checki "ledger rounds kept" rounds (Metrics.Ledger.total_rounds ledger);
-  got := [];
-  Net.add_node net ~id:2 (fun ~round:_ ~inbox -> got := inbox @ !got);
-  Net.run_round net;
-  checki "nothing queued survives" 0 (List.length !got);
-  checki "rounds restart" 1 (Net.round net)
-
-(* [~except] skips exactly that id, on the queueing path and on the
-   count-only path alike. *)
+(* [~except] skips exactly that id. *)
 let test_multicast_except () =
-  List.iter
-    (fun needs_inbox ->
-      let net = Net.create () in
-      let got = ref [] in
-      List.iter
-        (fun id ->
-          Net.add_node ~needs_inbox net ~id (fun ~round:_ ~inbox ->
-              List.iter (fun (src, ()) -> got := (src, id) :: !got) inbox))
-        [ 1; 2; 3; 4 ];
-      Net.multicast net ~src:2 ~dsts:[ 1; 2; 3; 4 ] ~except:2 ~label:"m" ();
-      Net.run_round net;
-      checki "n - 1 sent" 3 (Net.messages_sent net);
-      checki "n - 1 charged" 3 (Metrics.Ledger.label_messages (Net.ledger net) "m");
-      Alcotest.check
-        (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-        "everyone but the sender"
-        (if needs_inbox then [ (2, 1); (2, 3); (2, 4) ] else [])
-        (List.sort compare !got);
-      Net.multicast net ~src:2 ~dsts:[ 1; 2; 3; 4 ] ~except:9 ~label:"m" ();
-      checki "absent except skips nothing" 7 (Net.messages_sent net))
-    [ true; false ]
-
-let test_count_only_dead_sender () =
   let net = Net.create () in
+  let got = ref [] in
   List.iter
-    (fun id -> Net.add_node ~needs_inbox:false net ~id (fun ~round:_ ~inbox:_ -> ()))
-    [ 1; 2; 3 ];
-  Net.remove_node net 1;
-  Alcotest.check_raises "dead sender" (Invalid_argument "Net.send: sender is not alive")
-    (fun () -> Net.multicast net ~src:1 ~dsts:[ 2; 3 ] "boo");
-  checki "nothing counted" 0 (Net.messages_sent net);
-  checki "nothing charged" 0 (Metrics.Ledger.total_messages (Net.ledger net))
+    (fun id ->
+      Net.add_node net ~id (fun ~round:_ ~inbox ->
+          List.iter (fun (src, ()) -> got := (src, id) :: !got) inbox))
+    [ 1; 2; 3; 4 ];
+  Net.multicast net ~src:2 ~dsts:[ 1; 2; 3; 4 ] ~except:2 ~label:"m" ();
+  Net.run_round net;
+  checki "n - 1 sent" 3 (Net.messages_sent net);
+  checki "n - 1 charged" 3 (Metrics.Ledger.label_messages (Net.ledger net) "m");
+  Alcotest.check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "everyone but the sender"
+    [ (2, 1); (2, 3); (2, 4) ]
+    (List.sort compare !got);
+  Net.multicast net ~src:2 ~dsts:[ 1; 2; 3; 4 ] ~except:9 ~label:"m" ();
+  checki "absent except skips nothing" 7 (Net.messages_sent net)
 
-(* Random scripts of registrations (with and without inbox), sends,
-   multicasts (unknown ids, [~except]) and rounds: a traced run takes the
-   per-message path everywhere, an untraced one counts whenever no
-   registered node reads an inbox — both must agree on every counter,
-   every ledger label and every delivered inbox. *)
+(* Random scripts of registrations, sends, multicasts (unknown ids,
+   [~except]) and rounds: a run under a net-detail collector and a plain
+   run must agree on every counter, every ledger label and every
+   delivered inbox, and the traced run emits one [net.send.*] point per
+   message. *)
 type op =
-  | Add of int * bool
+  | Add of int
   | Remove of int
   | Send of int * int * bool
   | Multicast of int * int list * int option
   | Round
 
 let print_op = function
-  | Add (id, inbox) ->
-    Printf.sprintf "add %d%s" id (if inbox then "" else " (no inbox)")
+  | Add id -> Printf.sprintf "add %d" id
   | Remove id -> Printf.sprintf "remove %d" id
   | Send (src, dst, deviant) ->
     Printf.sprintf "send %d->%d%s" src dst (if deviant then " deviant" else "")
@@ -285,7 +219,7 @@ let gen_op =
     let id = int_range 0 5 in
     frequency
       [
-        (3, map2 (fun id inbox -> Add (id, inbox)) id bool);
+        (3, map (fun id -> Add id) id);
         (1, map (fun id -> Remove id) id);
         (3, map3 (fun src dst deviant -> Send (src, dst, deviant)) id id bool);
         ( 3,
@@ -305,8 +239,7 @@ let run_script ops =
   List.iteri
     (fun i op ->
       match op with
-      | Add (id, needs_inbox) ->
-        if not (Net.is_alive net id) then Net.add_node ~needs_inbox net ~id (handler id)
+      | Add id -> if not (Net.is_alive net id) then Net.add_node net ~id (handler id)
       | Remove id -> Net.remove_node net id
       | Send (src, dst, deviant) ->
         attempt (fun () -> Net.send net ~src ~dst ~label:"s" ~deviant i)
@@ -346,13 +279,8 @@ let suite =
     Alcotest.test_case "run_until" `Quick test_run_until;
     Alcotest.test_case "nodes sorted" `Quick test_nodes_sorted;
     Alcotest.test_case "mid-round removal" `Quick test_handler_removing_node_mid_round;
-    Alcotest.test_case "inbox-less destination: counted, never delivered" `Quick
-      test_inboxless_send_never_delivered;
     Alcotest.test_case "unknown destination at send time: lost" `Quick
       test_unknown_destination_lost;
-    Alcotest.test_case "reset" `Quick test_reset;
     Alcotest.test_case "multicast except" `Quick test_multicast_except;
-    Alcotest.test_case "count-only multicast rejects a dead sender" `Quick
-      test_count_only_dead_sender;
     QCheck_alcotest.to_alcotest prop_traced_equals_untraced;
   ]
