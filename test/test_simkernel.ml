@@ -66,10 +66,17 @@ let test_remove_node_drops_messages () =
 
 let test_dead_sender_rejected () =
   let net = Net.create () in
-  Net.add_node net ~id:1 (fun ~round ~inbox -> ignore (round, inbox));
+  List.iter
+    (fun id -> Net.add_node net ~id (fun ~round ~inbox -> ignore (round, inbox)))
+    [ 1; 2 ];
   Net.remove_node net 1;
   Alcotest.check_raises "dead sender" (Invalid_argument "Net.send: sender is not alive")
-    (fun () -> Net.send net ~src:1 ~dst:1 "boo")
+    (fun () -> Net.send net ~src:1 ~dst:1 "boo");
+  Alcotest.check_raises "dead multicaster"
+    (Invalid_argument "Net.send: sender is not alive") (fun () ->
+      Net.multicast net ~src:1 ~dsts:[ 1; 2 ] "boo");
+  checki "nothing counted" 0 (Net.messages_sent net);
+  checki "nothing charged" 0 (Metrics.Ledger.total_messages (Net.ledger net))
 
 let test_duplicate_node () =
   let net = Net.create () in
