@@ -137,6 +137,27 @@ let test_bench_records_round_trip () =
       checkb "the report draws a chart" true
         (contains "<svg" (slurp (Filename.concat dir "out.html"))))
 
+(* The monitor's HTML dashboard, pinned by byte length and FNV-64 digest:
+   a mixed run that breaches (violation table, blame panes) and an
+   asynchronous run (session waterfall). *)
+let dashboard_pins =
+  [
+    ("monitor mixed --byz-tau 0.4 --html D.html", 592739, "553f278466f3a1fa");
+    ("monitor async --html D.html", 946316, "ce8cb3316749d170");
+  ]
+
+let test_dashboards_pinned () =
+  List.iter
+    (fun (args, bytes, digest) ->
+      in_temp_dir (fun dir ->
+          checki (args ^ ": exit 0") 0 (fst (run dir now_sim args));
+          let html = slurp (Filename.concat dir "D.html") in
+          checki (args ^ ": bytes") bytes (String.length html);
+          Alcotest.(check string)
+            (args ^ ": digest") digest
+            Audit.Fnv.(to_hex (string init html))))
+    dashboard_pins
+
 let suite =
   List.map
     (fun args -> Alcotest.test_case ("refused: " ^ args) `Quick (test_refused args))
@@ -148,4 +169,5 @@ let suite =
         test_exec_stats_switches;
       Alcotest.test_case "bench records round trip" `Slow
         test_bench_records_round_trip;
+      Alcotest.test_case "dashboard documents pinned" `Quick test_dashboards_pinned;
     ]

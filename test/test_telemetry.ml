@@ -417,6 +417,23 @@ let test_bench_report_smoke () =
     Sys.remove out
   end
 
+(* bench_report's whole document for a fixed history: three runs, two
+   ids, a failing run, a run without alloc_bytes and peak_live_words, and
+   an id that needs escaping. *)
+let test_bench_report_golden () =
+  if not scripts_available then ()
+  else begin
+    let out = Filename.temp_file "benchreport" ".html" in
+    checki "bench_report renders the golden history" 0
+      (run_script
+         (Printf.sprintf "../scripts/bench_report.exe golden/bench_history.jsonl %s"
+            (Filename.quote out)));
+    let slurp path = In_channel.with_open_bin path In_channel.input_all in
+    Alcotest.(check string)
+      "golden/bench_report.html" (slurp "golden/bench_report.html") (slurp out);
+    Sys.remove out
+  end
+
 (* A path that exists but cannot be read as a file is reported like a
    malformed file: exit 2 and a format error on stderr, no exception. *)
 let test_scripts_reject_a_directory () =
@@ -488,6 +505,8 @@ let suite =
     Alcotest.test_case "bench_diff exit codes" `Quick
       test_bench_diff_exit_codes;
     Alcotest.test_case "bench_report smoke" `Quick test_bench_report_smoke;
+    Alcotest.test_case "bench_report golden document" `Quick
+      test_bench_report_golden;
     Alcotest.test_case "bench scripts reject a directory" `Quick
       test_scripts_reject_a_directory;
   ]
