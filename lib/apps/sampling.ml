@@ -23,4 +23,3 @@ let sample engine =
     rounds = walk_report.Engine.rounds + Cost.randnum_rounds;
   }
 
-let sample_many engine ~count = List.init count (fun _ -> sample engine)

@@ -14,5 +14,3 @@ type report = {
 val sample : Now_core.Engine.t -> report
 (** Draw one quasi-uniform node.  Costs go to the engine ledger
     (["randcl"] plus ["app.sample"]). *)
-
-val sample_many : Now_core.Engine.t -> count:int -> report list

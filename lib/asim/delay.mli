@@ -10,8 +10,8 @@
     every non-{!constructor:Zero} sample draws {e exactly one} number from
     the caller's {!Prng.Rng} stream (stream consumption never depends on
     which link is sampled), and the slow/partitioned link classification
-    is a pure function of the endpoint ids ({!is_slow}), never of a random
-    draw — so experiments can compute on-time quorums exactly. *)
+    is a pure function of the endpoint ids (see {!constructor:Straggler}
+    and {!constructor:Partition}), never of a random draw — so experiments can compute on-time quorums exactly. *)
 
 type t =
   | Zero  (** instant delivery — the synchronous baseline *)
@@ -36,11 +36,6 @@ val sample : t -> Prng.Rng.t -> src:int -> dst:int -> float
 (** Draw one delay for a [src] to [dst] message.  {!constructor:Zero}
     returns 0 without touching [rng]; every other model consumes exactly
     one draw. *)
-
-val is_slow : t -> src:int -> dst:int -> bool
-(** Whether the model classifies this link as degraded (straggler sender
-    or partition-crossing); structural, id-derived, draw-free.  Always
-    [false] for the first three models. *)
 
 val name : t -> string
 (** Canonical parameterised name, e.g. ["straggler:mean=1,every=3,factor=32"];

@@ -1,16 +1,6 @@
-module Params = Now_core.Params
-
-let no_shuffle (p : Params.t) = { p with Params.shuffle_on_churn = false }
-
-let static_clusters (p : Params.t) = { p with Params.allow_split_merge = false }
-
 let unclustered_broadcast_messages ~n = n * (n - 1)
 
-let unclustered_broadcast_rounds = 1
-
 let unclustered_sample_messages ~n = n
-
-let unclustered_agreement_messages ~n = Now_core.Cost_model.king_saia_messages ~n
 
 let flat_phase_king_messages ~n =
   let t = (n - 1) / 4 in

@@ -1,37 +1,24 @@
 (** Baselines the paper argues against (Sections 1, 3.3, 5, 6).
 
-    Three comparison points:
+    The unclustered primitives: flat flooding broadcast (O(n^2)
+    messages), full-network agreement and linear-cost sampling, the costs
+    Section 6 contrasts with the clustered Õ(n) / polylog versions (E8).
 
-    - {!no_shuffle}: NOW without the [exchange] shuffling.  Section 3.3
-      explains the attack: "the adversary chooses a specific cluster and
-      keeps adding and removing the Byzantine nodes until they fall into
-      that cluster".  E3 runs that attack against both variants.
-    - {!static_clusters}: a fixed number of clusters (the prior work of
-      Awerbuch–Scheideler et al. assumes sizes varying by at most a
-      constant factor).  Under polynomial growth the per-cluster size —
-      and with it every intra-cluster cost — blows up; E10 measures it.
-    - Unclustered primitives: flat flooding broadcast (O(n^2) messages),
-      full-network agreement and linear-cost sampling, the costs Section 6
-      contrasts with the clustered Õ(n) / polylog versions (E8). *)
-
-val no_shuffle : Now_core.Params.t -> Now_core.Params.t
-(** Same parameters with [shuffle_on_churn = false]. *)
-
-val static_clusters : Now_core.Params.t -> Now_core.Params.t
-(** Same parameters with [allow_split_merge = false]. *)
+    The two structural baselines are parameter flags, not functions here:
+    NOW without the [exchange] shuffling is
+    [Params.make ~shuffle_on_churn:false] (Section 3.3's attack: "the
+    adversary chooses a specific cluster and keeps adding and removing the
+    Byzantine nodes until they fall into that cluster"; E3 runs it against
+    both variants), and a fixed number of clusters is
+    [~allow_split_merge:false] (the prior work of Awerbuch–Scheideler et
+    al.; under polynomial growth the per-cluster size blows up, E10). *)
 
 val unclustered_broadcast_messages : n:int -> int
 (** Every node relays the payload to every other node once: n(n-1). *)
 
-val unclustered_broadcast_rounds : int
-
 val unclustered_sample_messages : n:int -> int
 (** Uniform sampling without structure requires collecting the membership
     (or an O(n) token circulation): n messages. *)
-
-val unclustered_agreement_messages : n:int -> int
-(** Whole-network Byzantine agreement at the King–Saia cost the paper
-    cites for the initialisation phase, Õ(n sqrt n). *)
 
 val flat_phase_king_messages : n:int -> int
 (** Whole-network Byzantine agreement with the same machinery the

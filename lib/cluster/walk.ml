@@ -123,9 +123,3 @@ let pick_member_on l cfg ~cluster =
   let o, makespan = l.randnum ~cluster ~range:(List.length members) in
   (List.nth members o.Randnum.value, makespan)
 
-let pick_member cfg ~cluster = fst (pick_member_on (sync cfg) cfg ~cluster)
-
-let pick_node ?duration cfg ~start =
-  match rand_cl ?duration cfg ~start with
-  | Error e -> Error e
-  | Ok { selected; _ } -> Ok (pick_member cfg ~cluster:selected)

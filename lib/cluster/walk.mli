@@ -99,12 +99,7 @@ val rand_cl_on :
     sequence on any engine), plus the walk's makespan: the sum of its
     draws' and token transfers' makespans. *)
 
-val pick_member : Config.t -> cluster:int -> int
-(** Uniform member of the cluster via {!Randnum} ([randNum(|C|)]). *)
-
 val pick_member_on : leaves -> Config.t -> cluster:int -> int * float
-(** {!pick_member} over the given leaves, plus the draw's makespan. *)
-
-val pick_node :
-  ?duration:float -> Config.t -> start:int -> (int, error) Stdlib.result
-(** Quasi-uniform node sample: [randCl] then [pick_member]. *)
+(** Uniform member of the cluster via {!Randnum} ([randNum(|C|)]) over
+    the given leaves, plus the draw's makespan.  After a {!rand_cl} walk
+    this is the paper's quasi-uniform node sample. *)

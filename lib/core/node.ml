@@ -4,10 +4,6 @@ type honesty = Honest | Byzantine
 
 let is_byzantine = function Byzantine -> true | Honest -> false
 
-let pp_honesty ppf = function
-  | Honest -> Format.pp_print_string ppf "honest"
-  | Byzantine -> Format.pp_print_string ppf "byzantine"
-
 module Roster = struct
   (* Honesty assignments are permanent (the adversary is static): a
      departed node keeps its record so late bookkeeping — e.g. removing it

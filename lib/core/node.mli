@@ -13,8 +13,6 @@ type honesty = Honest | Byzantine
 val is_byzantine : honesty -> bool
 (** [true] on [Byzantine]. *)
 
-val pp_honesty : Format.formatter -> honesty -> unit
-
 (** Registry of currently present nodes. *)
 module Roster : sig
   type t

@@ -77,8 +77,6 @@ let overlay_target_degree t ~n_clusters =
 
 let min_network_size t = int_of_float (ceil (sqrt (float_of_int t.n_max)))
 
-let byz_threshold t = t.tau *. (1.0 +. t.epsilon)
-
 let pp ppf t =
   Format.fprintf ppf
     "N=%d k=%d l=%.2f tau=%.3f eps=%.3f cluster[%d..%d] target=%d d_overlay~%d"

@@ -73,12 +73,6 @@ val make :
     [< 1/r] for [r >= 2]), [n_max >= 16], [k >= 1].
     Raises [Invalid_argument] otherwise. *)
 
-val log2_n_max : t -> float
-(** [log2 N] as a float. *)
-
-val log2_n_max_int : t -> int
-(** [ceil (log2 N)]. *)
-
 val target_cluster_size : t -> int
 (** [k * ceil (log2 N)] — the size of freshly formed clusters. *)
 
@@ -94,9 +88,5 @@ val overlay_target_degree : t -> n_clusters:int -> int
 
 val min_network_size : t -> int
 (** [sqrt N] — the lower bound on the current network size. *)
-
-val byz_threshold : t -> float
-(** [tau * (1 + epsilon)]: Lemma 1's bound on a cluster's Byzantine
-    fraction.  Below 1/3 for base-theorem parameters (below 1/2 always). *)
 
 val pp : Format.formatter -> t -> unit

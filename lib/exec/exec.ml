@@ -8,15 +8,13 @@
    itself, re-checking the pool between tasks so capacity freed elsewhere
    (e.g. sibling experiments finishing) is picked up mid-run. *)
 
-let recommended_jobs () = Domain.recommended_domain_count ()
-
 let default = Atomic.make 0
 (* 0 = "not set yet": resolved lazily so that set_default_jobs from a CLI
    flag wins over the recommendation without an initialisation order
    dependence. *)
 
 let default_jobs () =
-  match Atomic.get default with 0 -> recommended_jobs () | j -> j
+  match Atomic.get default with 0 -> Domain.recommended_domain_count () | j -> j
 
 (* Spare domain slots shared by every par_map call (the calling domain is
    not counted: [j] jobs = 1 caller + [j - 1] spares).  -1 = not yet
@@ -213,5 +211,3 @@ let par_map ?jobs f xs =
            | Empty | Err _ -> assert false (* all slots filled above *))
          results)
   end
-
-let par_iter ?jobs f xs = ignore (par_map ?jobs f xs)

@@ -35,16 +35,14 @@
     submission order after the join — the trace stream, like the result
     list, is byte-identical for any worker count. *)
 
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — what [-j] defaults to. *)
-
 val set_default_jobs : int -> unit
 (** Set the job count used when [?jobs] is omitted (clamped to >= 1).
     The CLIs call this once from their [-j] flag before running
     anything. *)
 
 val default_jobs : unit -> int
-(** Current default job count.  Starts at {!recommended_jobs}. *)
+(** Current default job count.  Starts at
+    [Domain.recommended_domain_count ()]. *)
 
 val par_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [par_map ?jobs f xs] is [List.map f xs], computed by up to [jobs]
@@ -60,9 +58,6 @@ val par_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     which worker hit it first.  Remaining tasks may or may not have run;
     tasks must not rely on later siblings being skipped. *)
 
-val par_iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
-(** [par_iter ?jobs f xs] is [ignore (par_map ?jobs f xs)]. *)
-
 (** {2 Pool introspection}
 
     Lifetime counters over every {!par_map} call since start-up (or the
@@ -75,7 +70,7 @@ val par_iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
     fixed workload. *)
 
 type stats = {
-  par_calls : int;  (** {!par_map}/{!par_iter} calls (deterministic) *)
+  par_calls : int;  (** {!par_map} calls (deterministic) *)
   tasks : int;  (** tasks executed across all calls (deterministic) *)
   caller_tasks : int;
       (** tasks the calling domain chipped in on (non-deterministic) *)
@@ -104,5 +99,5 @@ val stats : unit -> stats
     par_map may straddle the snapshot). *)
 
 val reset_stats : unit -> unit
-(** Zero all counters.  Call only between [par_map] calls (the CLIs reset
-    once before their run; tests reset between cases). *)
+(** Zero all counters.  Call only between [par_map] calls; tests reset
+    between cases. *)

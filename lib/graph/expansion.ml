@@ -1,19 +1,3 @@
-let edge_boundary g set =
-  let cut = ref 0 in
-  Hashtbl.iter
-    (fun v () ->
-      Graph.iter_neighbors g v (fun u -> if not (Hashtbl.mem set u) then incr cut))
-    set;
-  !cut
-
-let cut_ratio g vs =
-  match vs with
-  | [] -> invalid_arg "Expansion.cut_ratio: empty set"
-  | _ ->
-    let set = Hashtbl.create (List.length vs) in
-    List.iter (fun v -> Hashtbl.replace set v ()) vs;
-    float_of_int (edge_boundary g set) /. float_of_int (Hashtbl.length set)
-
 let exact g =
   let n = Graph.n_vertices g in
   if n < 2 then infinity

@@ -15,26 +15,16 @@
 
     E4 reports the bracket [spectral_lower <= I(G) <= sweep_upper]. *)
 
-val edge_boundary : Graph.t -> (int, unit) Hashtbl.t -> int
-(** Number of edges with exactly one endpoint in the set. *)
-
-val cut_ratio : Graph.t -> int list -> float
-(** [E(S, S~) / |S|] for an explicit vertex set (must be non-empty). *)
-
 val exact : Graph.t -> float
 (** Exhaustive minimum over all non-empty S with [|S| <= n/2].  Raises
     [Invalid_argument] for graphs with more than 24 vertices.  [infinity]
     for graphs with fewer than 2 vertices. *)
 
-val fiedler : ?iterations:int -> Graph.t -> float * float array * int array
-(** [fiedler g] returns [(mu2, vector, index)]: the second-smallest
-    eigenvalue of the (combinatorial) Laplacian, the associated eigenvector
-    and the vertex ids corresponding to its entries.  Power iteration on
-    [c.I - L] with deflation of the constant vector; [iterations] defaults
-    to 2000. *)
-
 val spectral_lower : ?iterations:int -> Graph.t -> float
-(** [mu2 / 2]: a lower bound on [I(G)] (0 for disconnected graphs). *)
+(** [mu2 / 2]: a lower bound on [I(G)] (0 for disconnected graphs), where
+    [mu2] is the second-smallest eigenvalue of the (combinatorial)
+    Laplacian, found by power iteration on [c.I - L] with deflation of
+    the constant vector; [iterations] defaults to 2000. *)
 
 val sweep_upper : ?iterations:int -> Graph.t -> float
 (** Best prefix-cut ratio along the Fiedler order — an upper bound on

@@ -59,11 +59,6 @@ let label_messages t label =
   | Some e -> e.messages
   | None -> 0
 
-let label_rounds t label =
-  match Hashtbl.find_opt t.by_label label with
-  | Some e -> e.rounds
-  | None -> 0
-
 let labels t =
   Hashtbl.fold (fun label e acc -> (label, e.messages, e.rounds) :: acc) t.by_label []
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)

@@ -32,9 +32,6 @@ val total_rounds : t -> int
 val label_messages : t -> string -> int
 (** Messages charged under a label so far (0 if never charged). *)
 
-val label_rounds : t -> string -> int
-(** Rounds charged under a label so far (0 if never charged). *)
-
 val labels : t -> (string * int * int) list
 (** [(label, messages, rounds)] sorted by label. *)
 

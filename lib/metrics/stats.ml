@@ -1,20 +1,18 @@
 type t = {
   mutable n : int;
   mutable mean : float;
-  mutable m2 : float; (* sum of squared deviations *)
   mutable min : float;
   mutable max : float;
   mutable total : float;
 }
 
 let create () =
-  { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; total = 0.0 }
+  { n = 0; mean = 0.0; min = infinity; max = neg_infinity; total = 0.0 }
 
 let add t x =
   t.n <- t.n + 1;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x;
   t.total <- t.total +. x
@@ -24,10 +22,6 @@ let add_int t x = add t (float_of_int x)
 let count t = t.n
 
 let mean t = if t.n = 0 then nan else t.mean
-
-let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-
-let stddev t = sqrt (variance t)
 
 let min t = t.min
 
@@ -40,29 +34,12 @@ let merge a b =
   else if b.n = 0 then { a with n = a.n }
   else
     let n = a.n + b.n in
-    let fa = float_of_int a.n and fb = float_of_int b.n in
-    let fn = float_of_int n in
+    let fb = float_of_int b.n and fn = float_of_int n in
     let delta = b.mean -. a.mean in
     {
       n;
       mean = a.mean +. (delta *. fb /. fn);
-      m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. fn);
       min = Stdlib.min a.min b.min;
       max = Stdlib.max a.max b.max;
       total = a.total +. b.total;
     }
-
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-}
-
-let summary (t : t) =
-  { n = t.n; mean = mean t; stddev = stddev t; min = t.min; max = t.max }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" s.n s.mean
-    s.stddev s.min s.max

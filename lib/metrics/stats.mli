@@ -1,4 +1,5 @@
-(** Streaming univariate statistics (Welford's algorithm).
+(** Streaming univariate statistics: count, running mean, extremes and
+    total.
 
     Used by every experiment to summarise measured quantities (message
     counts, Byzantine fractions, walk lengths, ...) without storing all
@@ -15,13 +16,11 @@ val add : t -> float -> unit
 val add_int : t -> int -> unit
 
 val count : t -> int
+(** Number of observations. *)
+
 val mean : t -> float
 (** Mean of the observations; [nan] if empty. *)
 
-val variance : t -> float
-(** Unbiased sample variance; [0.] with fewer than two observations. *)
-
-val stddev : t -> float
 val min : t -> float
 (** Smallest observation; [infinity] if empty. *)
 
@@ -33,15 +32,3 @@ val total : t -> float
 
 val merge : t -> t -> t
 (** [merge a b] is an accumulator equivalent to having seen both streams. *)
-
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-}
-
-val summary : t -> summary
-
-val pp_summary : Format.formatter -> summary -> unit

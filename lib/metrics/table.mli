@@ -33,7 +33,5 @@ val csv_escape : string -> string
     double quote doubled; any other field is returned unchanged. *)
 
 val to_csv : t -> string
-(** Header row, then one row per {!add_row}, cells rendered by
-    {!cell_to_string} and escaped by {!csv_escape}. *)
-
-val cell_to_string : cell -> string
+(** Header row, then one row per {!add_row}, cells rendered as in
+    {!render} and escaped by {!csv_escape}. *)

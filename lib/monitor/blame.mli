@@ -18,15 +18,13 @@ val deviation_point : string -> bool
     ([walk.retry], [randnum.stall]).  The one definition {!of_events},
     [Probe.ingest_trace] and [now_sim byz] filter with. *)
 
-val default_max_entries : int
-(** Entries kept per blame window (the most recent ones). *)
-
 val of_events :
   ?cluster:int -> ?max_entries:int -> Trace.event list -> string list
 (** Filter and render an explicit event window (oldest first, as
     {!Trace.recent} returns it).  [cluster] keeps only events whose
     attributes carry that cluster id (keys [cluster]/[home]/[src]/[dst]/
-    [to]/[start]/[vertex]); omitted means keep every causal event.
+    [to]/[start]/[vertex]); omitted means keep every causal event.  The
+    window keeps the most recent [max_entries] entries (default 8).
     Raises [Invalid_argument] if [max_entries < 1]. *)
 
 val attribute : ?cluster:int -> ?max_entries:int -> unit -> string list

@@ -68,8 +68,6 @@ let refill_edges t v ~pick =
   let want = min (target_degree_now t) (n_vertices t - 1) in
   if Graph.degree t.g v < want then fill_edges t v ~want ~pick else []
 
-let refill t v ~pick = ignore (refill_edges t v ~pick)
-
 let add_vertex t v ~pick =
   if Graph.has_vertex t.g v then invalid_arg "Over.add_vertex: vertex already present";
   Trace.with_span
@@ -126,7 +124,7 @@ let init_erdos_renyi t ~vertices =
     (* Refill under-full vertices with uniform targets (initialisation runs
        with global knowledge, so a direct uniform pick is legitimate). *)
     let uniform_pick () = vs.(Rng.int t.rng n) in
-    List.iter (fun v -> refill t v ~pick:uniform_pick) vertices
+    List.iter (fun v -> ignore (refill_edges t v ~pick:uniform_pick)) vertices
   end
 
 type health = Overlay_health.health = {

@@ -56,8 +56,6 @@ val n_vertices : t -> int
 
 val mem : t -> int -> bool
 
-val target_degree_now : t -> int
-
 val add_vertex : t -> int -> pick:(unit -> int) -> unit
 (** Insert a fresh vertex and give it [target_degree] edges to clusters
     drawn from [pick].  Raises [Invalid_argument] if the id is present. *)
@@ -66,9 +64,6 @@ val remove_vertex : t -> int -> pick:(unit -> int) -> unit
 (** Delete a vertex; neighbours left under-full re-fill via [pick], and
     the vertices a refill connects to shed any excess over the degree
     cap, as {!add_vertex}'s receiving vertices do.  No-op if absent. *)
-
-val refill : t -> int -> pick:(unit -> int) -> unit
-(** Bring one vertex's degree up to the current target using [pick]. *)
 
 type health = Overlay_health.health = {
   n_vertices : int;

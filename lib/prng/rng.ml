@@ -50,10 +50,6 @@ let int t bound =
   done;
   !v mod bound
 
-let int_in t lo hi =
-  if lo > hi then invalid_arg "Rng.int_in: empty range";
-  lo + int t (hi - lo + 1)
-
 (* 53-bit mantissa gives a uniform float in [0,1). *)
 let[@inline] unit_float t =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
@@ -76,28 +72,6 @@ let geometric t p =
   else
     let u = 1.0 -. unit_float t in
     int_of_float (floor (log u /. log (1.0 -. p)))
-
-(* Exact binomial.  For small n or small mean, count Bernoulli successes by
-   geometric skips (expected work O(np + 1)); otherwise fall back to the
-   simple n-fold inversion which is still exact. *)
-(* Exact binomial core for p <= 0.5: geometric-skip method, jumping over
-   failures; expected work O(np + 1). *)
-let binomial_skip t n p =
-  let log1mp = log (1.0 -. p) in
-  let rec loop pos acc =
-    let u = 1.0 -. unit_float t in
-    let skip = int_of_float (floor (log u /. log1mp)) in
-    let pos = pos + skip + 1 in
-    if pos > n then acc else loop pos (acc + 1)
-  in
-  loop 0 0
-
-let binomial t n p =
-  if n < 0 then invalid_arg "Rng.binomial: n must be non-negative";
-  if p <= 0.0 then 0
-  else if p >= 1.0 then n
-  else if p > 0.5 then n - binomial_skip t n (1.0 -. p)
-  else binomial_skip t n p
 
 let poisson t lambda =
   if lambda < 0.0 then invalid_arg "Rng.poisson: lambda must be non-negative";

@@ -39,9 +39,6 @@ val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound-1].  [bound] must be positive.
     Uses rejection to avoid modulo bias. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform on [lo, hi] inclusive ([lo <= hi]). *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform on [0, bound). *)
 
@@ -57,11 +54,6 @@ val exponential : t -> float -> float
 val geometric : t -> float -> int
 (** [geometric t p] is the number of failures before the first success of a
     Bernoulli(p) sequence (support {0, 1, ...}). *)
-
-val binomial : t -> int -> float -> int
-(** [binomial t n p] samples Binomial(n, p).  Exact: inversion for small
-    [n*p], otherwise a waiting-time (geometric skip) method — both exact
-    samplers, no normal approximation. *)
 
 val poisson : t -> float -> int
 (** [poisson t lambda] samples Poisson(lambda) exactly (Knuth's product

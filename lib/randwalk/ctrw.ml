@@ -47,41 +47,6 @@ let endpoint_counts g rng ~start ~duration ~trials =
   done;
   counts
 
-let rec tv_probe g rng ~start ~duration ~trials ~tv_target ~vertices ~n =
-  if duration > 65536.0 then
-    failwith "Ctrw.estimate_mixing_duration: graph does not mix within 2^16 units";
-  let counts = Hashtbl.create 64 in
-  for _ = 1 to trials do
-    let v, _ = walk g rng ~start ~duration () in
-    Hashtbl.replace counts v (1 + Option.value ~default:0 (Hashtbl.find_opt counts v))
-  done;
-  let total = float_of_int trials in
-  let tv =
-    List.fold_left
-      (fun acc v ->
-        let emp =
-          match Hashtbl.find_opt counts v with
-          | Some c -> float_of_int c /. total
-          | None -> 0.0
-        in
-        acc +. abs_float (emp -. (1.0 /. n)))
-      0.0 vertices
-    /. 2.0
-  in
-  if tv <= tv_target then duration
-  else tv_probe g rng ~start ~duration:(2.0 *. duration) ~trials ~tv_target ~vertices ~n
-
-and estimate_mixing_duration g rng ?(tv_target = 0.1) ?(trials = 2000) ?start () =
-  let vertices = Dsgraph.Graph.vertices g in
-  match vertices with
-  | [] -> invalid_arg "Ctrw.estimate_mixing_duration: empty graph"
-  | v0 :: _ ->
-    let start = Option.value ~default:v0 start in
-    let n = float_of_int (List.length vertices) in
-    let mean_degree = Float.max 1.0 (Dsgraph.Graph.mean_degree g) in
-    tv_probe g rng ~start ~duration:(0.25 /. mean_degree) ~trials ~tv_target ~vertices
-      ~n
-
 let tv_distance_to ~counts ~target ~vertices =
   let total =
     Hashtbl.fold (fun _ c acc -> acc + c) counts 0 |> float_of_int

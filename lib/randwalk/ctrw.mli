@@ -59,19 +59,3 @@ val tv_distance_to : counts:(int, int) Hashtbl.t -> target:(int -> float) -> ver
 (** Total-variation distance between the empirical distribution in
     [counts] (over [vertices]) and the probability mass function [target].
     [target] must sum to 1 over [vertices]. *)
-
-val estimate_mixing_duration :
-  Dsgraph.Graph.t ->
-  Prng.Rng.t ->
-  ?tv_target:float ->
-  ?trials:int ->
-  ?start:int ->
-  unit ->
-  float
-(** Empirical mixing-duration estimate: the walk duration at which the
-    endpoint distribution's TV distance to uniform falls below
-    [tv_target] (default 0.1), found by doubling from a small seed
-    duration with [trials] walks per probe (default 2000).  The graph
-    must be connected; raises [Failure] if 2^16 duration units do not
-    suffice.  This is how the [walk_duration_c] default of the engine was
-    calibrated (see ablation A2). *)

@@ -2,7 +2,6 @@
    every adversary behaviour, boundary resilience, cost sanity. *)
 
 module PK = Agreement.Phase_king
-module Eig = Agreement.Eig
 module B = Agreement.Byz_behavior
 
 let checkb = Alcotest.check Alcotest.bool
@@ -97,59 +96,9 @@ let test_pk_nonuniform_ids () =
   checki "validity" 2 (assert_agreement o.PK.decisions);
   checki "five decisions" 5 (List.length o.PK.decisions)
 
-(* ---------- EIG ---------- *)
-
-let test_eig_all_honest () =
-  let o =
-    Eig.run ~committee:(committee 7) ~input:(fun _ -> 5) ~byzantine:(fun _ -> None) ()
-  in
-  checki "validity" 5 (assert_agreement o.Eig.decisions);
-  (* t = 2, rounds = t + 2. *)
-  checki "rounds" 4 o.Eig.rounds
-
-let test_eig_byzantine_strategies () =
-  (* n = 7 tolerates t = 2 with optimal n > 3t resilience. *)
-  List.iter
-    (fun (name, strategy) ->
-      let byz = byz_set [ 2; 4 ] strategy in
-      let o = Eig.run ~committee:(committee 7) ~input:(fun _ -> 1) ~byzantine:byz () in
-      let v = assert_agreement o.Eig.decisions in
-      Alcotest.check Alcotest.int (name ^ ": validity") 1 v)
-    strategies
-
-let test_eig_one_third_boundary () =
-  (* n = 4, t = 1: exactly the classic boundary case; one equivocator. *)
-  let byz = byz_set [ 3 ] (B.Equivocate (0, 1)) in
-  let o = Eig.run ~committee:(committee 4) ~input:(fun _ -> 1) ~byzantine:byz () in
-  checki "validity with n=4 t=1" 1 (assert_agreement o.Eig.decisions)
-
-let test_eig_mixed_inputs () =
-  List.iter
-    (fun (_, strategy) ->
-      let byz = byz_set [ 0 ] strategy in
-      let o =
-        Eig.run ~committee:(committee 5) ~input:(fun id -> id mod 2) ~byzantine:byz ()
-      in
-      ignore (assert_agreement o.Eig.decisions))
-    strategies
-
-let test_eig_tree_size_guard () =
-  checki "tree n=4 t=1" (1 + 4 + 12) (Eig.tree_size ~n:4 ~t:1);
-  Alcotest.check_raises "huge committee rejected"
-    (Invalid_argument "Eig.run: information tree too large for this committee")
-    (fun () ->
-      ignore
-        (Eig.run ~max_tree:10 ~committee:(committee 10) ~input:(fun _ -> 0)
-           ~byzantine:(fun _ -> None) ()))
-
-let test_eig_max_faulty () =
-  checki "n=4" 1 (Eig.max_faulty 4);
-  checki "n=7" 2 (Eig.max_faulty 7);
-  checki "n=10" 3 (Eig.max_faulty 10)
-
-(* Cross-check on randomized scenarios: run both protocols on random
-   inputs with random Byzantine subsets within tolerance; agreement must
-   always hold, and validity whenever honest inputs are unanimous. *)
+(* Randomized scenarios: random inputs with random Byzantine subsets
+   within tolerance; agreement must always hold, and validity whenever
+   honest inputs are unanimous. *)
 let test_randomized_scenarios () =
   let rng = Prng.Rng.of_int 99 in
   for _ = 1 to 15 do
@@ -179,11 +128,5 @@ let suite =
     Alcotest.test_case "PK costs" `Quick test_pk_costs;
     Alcotest.test_case "PK singleton" `Quick test_pk_singleton;
     Alcotest.test_case "PK non-uniform ids" `Quick test_pk_nonuniform_ids;
-    Alcotest.test_case "EIG all honest" `Quick test_eig_all_honest;
-    Alcotest.test_case "EIG byzantine strategies" `Quick test_eig_byzantine_strategies;
-    Alcotest.test_case "EIG n=4 t=1 boundary" `Quick test_eig_one_third_boundary;
-    Alcotest.test_case "EIG mixed inputs" `Quick test_eig_mixed_inputs;
-    Alcotest.test_case "EIG tree size guard" `Quick test_eig_tree_size_guard;
-    Alcotest.test_case "EIG max_faulty" `Quick test_eig_max_faulty;
     Alcotest.test_case "randomized scenarios" `Quick test_randomized_scenarios;
   ]

@@ -165,14 +165,19 @@ let test_deviation_points_emitted () =
     (count_marks dump (fun name -> name = "byz.forge"))
 
 let test_deviant_sends_counted () =
-  let net = Net.create () in
-  Net.add_node net ~id:0 (fun ~round:_ ~inbox:_ -> ());
-  Net.add_node net ~id:1 (fun ~round:_ ~inbox:_ -> ());
-  Net.send net ~src:0 ~dst:1 7;
-  Net.send net ~src:0 ~dst:1 ~deviant:true 8;
-  Net.send net ~src:0 ~dst:1 ~deviant:true 9;
+  let net, dump =
+    Trace.profiled ~net_detail:true (fun () ->
+        let net = Net.create () in
+        Net.add_node net ~id:0 (fun ~round:_ ~inbox:_ -> ());
+        Net.add_node net ~id:1 (fun ~round:_ ~inbox:_ -> ());
+        Net.send net ~src:0 ~dst:1 7;
+        Net.send net ~src:0 ~dst:1 ~deviant:true 8;
+        Net.send net ~src:0 ~dst:1 ~deviant:true 9;
+        net)
+  in
   checki "messages" 3 (Net.messages_sent net);
-  checki "deviant" 2 (Net.deviant_sent net)
+  checki "sends traced" 3 (count_marks dump (fun name -> name = "net.send.msg"));
+  checki "deviant" 2 (count_marks dump (fun name -> name = "net.byz.msg"))
 
 (* ---------- walk retries ---------- *)
 

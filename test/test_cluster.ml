@@ -242,8 +242,9 @@ let test_pick_node_uniformish () =
   let counts = Hashtbl.create 15 in
   let trials = 1200 in
   for _ = 1 to trials do
-    match Walk.pick_node cfg ~start:0 with
-    | Ok node ->
+    match Walk.rand_cl cfg ~start:0 with
+    | Ok { Walk.selected; _ } ->
+      let node, _ = Walk.pick_member_on (Walk.sync cfg) cfg ~cluster:selected in
       Hashtbl.replace counts node
         (1 + Option.value ~default:0 (Hashtbl.find_opt counts node))
     | Error _ -> Alcotest.fail "pick failed"

@@ -17,14 +17,12 @@ let checkf_eps eps msg a b = Alcotest.check (Alcotest.float eps) msg a b
 
 let test_params_defaults () =
   let p = Params.default in
-  checki "log2 N" 14 (Params.log2_n_max_int p);
-  checki "target size" 112 (Params.target_cluster_size p);
+  checki "target size = k log2 N" 112 (Params.target_cluster_size p);
   checki "max size" 168 (Params.max_cluster_size p);
   checki "min size" 75 (Params.min_cluster_size p);
   checkb "thresholds ordered" true
     (Params.min_cluster_size p < Params.target_cluster_size p
-    && Params.target_cluster_size p < Params.max_cluster_size p);
-  checkb "byz threshold < 1/3" true (Params.byz_threshold p < 1.0 /. 3.0)
+    && Params.target_cluster_size p < Params.max_cluster_size p)
 
 let test_params_validation () =
   let expect_invalid msg f =

@@ -200,14 +200,8 @@ let test_fiedler_disconnected () =
   let g = Graph.create () in
   ignore (Graph.add_edge g 0 1);
   ignore (Graph.add_edge g 2 3);
-  let mu2, _, _ = Expansion.fiedler ~iterations:2000 g in
+  let mu2 = 2.0 *. Expansion.spectral_lower ~iterations:2000 g in
   checkb "mu2 ~ 0 for disconnected" true (mu2 < 0.05)
-
-let test_cut_ratio () =
-  let g = Gen.ring ~n:6 in
-  checkf_eps 1e-9 "arc of 3" (2.0 /. 3.0) (Expansion.cut_ratio g [ 0; 1; 2 ]);
-  Alcotest.check_raises "empty set" (Invalid_argument "Expansion.cut_ratio: empty set")
-    (fun () -> ignore (Expansion.cut_ratio g []))
 
 (* --- property tests --- *)
 
@@ -286,7 +280,6 @@ let suite =
     Alcotest.test_case "exact expansion size guard" `Quick test_exact_too_big;
     Alcotest.test_case "expansion brackets exact" `Quick test_expansion_brackets;
     Alcotest.test_case "fiedler disconnected" `Quick test_fiedler_disconnected;
-    Alcotest.test_case "cut ratio" `Quick test_cut_ratio;
     QCheck_alcotest.to_alcotest prop_edge_count_consistent;
     QCheck_alcotest.to_alcotest prop_degree_sum;
     QCheck_alcotest.to_alcotest prop_remove_vertex_cleans;

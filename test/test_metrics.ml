@@ -18,7 +18,6 @@ let test_stats_basic () =
   List.iter (Stats.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
   checki "count" 8 (Stats.count s);
   checkf "mean" 5.0 (Stats.mean s);
-  checkf_eps 1e-9 "variance (unbiased)" (32.0 /. 7.0) (Stats.variance s);
   checkf "min" 2.0 (Stats.min s);
   checkf "max" 9.0 (Stats.max s);
   checkf "total" 40.0 (Stats.total s)
@@ -26,14 +25,12 @@ let test_stats_basic () =
 let test_stats_empty () =
   let s = Stats.create () in
   checki "count 0" 0 (Stats.count s);
-  checkb "mean nan" true (Float.is_nan (Stats.mean s));
-  checkf "variance 0" 0.0 (Stats.variance s)
+  checkb "mean nan" true (Float.is_nan (Stats.mean s))
 
 let test_stats_single () =
   let s = Stats.create () in
   Stats.add s 3.5;
-  checkf "mean" 3.5 (Stats.mean s);
-  checkf "variance" 0.0 (Stats.variance s)
+  checkf "mean" 3.5 (Stats.mean s)
 
 let test_stats_merge () =
   let a = Stats.create () and b = Stats.create () and whole = Stats.create () in
@@ -44,8 +41,7 @@ let test_stats_merge () =
     [ 1.0; 2.0; 3.0; 6.0; 7.0; 8.0; 9.0 ];
   let m = Stats.merge a b in
   checki "merged count" (Stats.count whole) (Stats.count m);
-  checkf_eps 1e-9 "merged mean" (Stats.mean whole) (Stats.mean m);
-  checkf_eps 1e-9 "merged variance" (Stats.variance whole) (Stats.variance m)
+  checkf_eps 1e-9 "merged mean" (Stats.mean whole) (Stats.mean m)
 
 let test_stats_merge_empty () =
   let a = Stats.create () and b = Stats.create () in
@@ -130,11 +126,9 @@ let test_ledger_basic () =
   checki "total messages" 16 (Ledger.total_messages l);
   checki "total rounds" 3 (Ledger.total_rounds l);
   checki "label a" 11 (Ledger.label_messages l "a");
-  checki "label a rounds" 2 (Ledger.label_rounds l "a");
-  checki "label b rounds" 1 (Ledger.label_rounds l "b");
   checki "unknown label" 0 (Ledger.label_messages l "zzz");
-  checki "unknown label rounds" 0 (Ledger.label_rounds l "zzz");
-  checki "labels" 2 (List.length (Ledger.labels l))
+  Alcotest.(check (list (triple string int int)))
+    "labels" [ ("a", 11, 2); ("b", 5, 1) ] (Ledger.labels l)
 
 let test_ledger_snapshot () =
   let l = Ledger.create () in
@@ -189,9 +183,10 @@ let test_table_csv_quotes_cr () =
     (Table.csv_escape "a\"b")
 
 let test_cells () =
-  Alcotest.check Alcotest.string "int" "7" (Table.cell_to_string (Table.I 7));
-  Alcotest.check Alcotest.string "f2" "2.50" (Table.cell_to_string (Table.F2 2.5));
-  Alcotest.check Alcotest.string "sci" "1.00e-03" (Table.cell_to_string (Table.E 0.001))
+  let t = Table.create ~title:"cells" ~columns:[ "int"; "f2"; "sci" ] in
+  Table.add_row t [ Table.I 7; Table.F2 2.5; Table.E 0.001 ];
+  Alcotest.check Alcotest.string "int, f2, sci" "int,f2,sci\n7,2.50,1.00e-03\n"
+    (Table.to_csv t)
 
 let test_fit_linear_exact () =
   let f = Fit.linear [ (0.0, 1.0); (1.0, 3.0); (2.0, 5.0) ] in

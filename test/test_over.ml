@@ -79,17 +79,6 @@ let test_degree_cap () =
   done;
   checkb "cap enforced" true (Graph.degree (Over.graph over) 0 <= 2 * 3)
 
-let test_refill () =
-  let over = make ~d:5 () in
-  Over.init_erdos_renyi over ~vertices:(List.init 12 (fun i -> i));
-  let g = Over.graph over in
-  (* Strip vertex 0 bare, then refill. *)
-  List.iter (fun u -> ignore (Graph.remove_edge g 0 u)) (Graph.neighbors g 0);
-  checki "stripped" 0 (Graph.degree g 0);
-  let rng = Rng.of_int 10 in
-  Over.refill over 0 ~pick:(uniform_pick over rng);
-  checki "refilled" 5 (Graph.degree g 0)
-
 let test_health_fields () =
   let over = make ~d:4 () in
   Over.init_erdos_renyi over ~vertices:(List.init 24 (fun i -> i));
@@ -212,7 +201,6 @@ let suite =
     Alcotest.test_case "remove refills neighbors" `Quick test_remove_refills_neighbors;
     Alcotest.test_case "remove absent" `Quick test_remove_absent;
     Alcotest.test_case "degree cap" `Quick test_degree_cap;
-    Alcotest.test_case "refill" `Quick test_refill;
     Alcotest.test_case "health fields" `Quick test_health_fields;
     Alcotest.test_case "health disconnected" `Quick test_health_disconnected;
     Alcotest.test_case "churn stays connected" `Quick test_churn_stays_connected;

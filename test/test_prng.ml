@@ -56,14 +56,6 @@ let test_int_invalid () =
   Alcotest.check_raises "non-positive bound" (Invalid_argument "Rng.int: bound must be positive")
     (fun () -> ignore (Rng.int rng 0))
 
-let test_int_in () =
-  let rng = Rng.of_int 6 in
-  for _ = 1 to 1000 do
-    let v = Rng.int_in rng (-5) 5 in
-    checkb "in [-5,5]" true (v >= -5 && v <= 5)
-  done;
-  checki "singleton range" 9 (Rng.int_in rng 9 9)
-
 let test_int_uniformity () =
   let rng = Rng.of_int 8 in
   let counts = Array.make 8 0 in
@@ -131,30 +123,6 @@ let test_geometric_p1 () =
   for _ = 1 to 100 do
     checki "p=1 is 0" 0 (Rng.geometric rng 1.0)
   done
-
-let test_binomial_mean_var () =
-  let rng = Rng.of_int 16 in
-  let s = Metrics.Stats.create () in
-  let n = 100 and p = 0.3 in
-  for _ = 1 to 30_000 do
-    Metrics.Stats.add_int s (Rng.binomial rng n p)
-  done;
-  checkb "mean near np" true (abs_float (Metrics.Stats.mean s -. 30.0) < 0.3);
-  checkb "var near np(1-p)" true (abs_float (Metrics.Stats.variance s -. 21.0) < 1.5)
-
-let test_binomial_edges () =
-  let rng = Rng.of_int 17 in
-  checki "p=0" 0 (Rng.binomial rng 50 0.0);
-  checki "p=1" 50 (Rng.binomial rng 50 1.0);
-  checki "n=0" 0 (Rng.binomial rng 0 0.5)
-
-let test_binomial_high_p () =
-  let rng = Rng.of_int 18 in
-  let s = Metrics.Stats.create () in
-  for _ = 1 to 20_000 do
-    Metrics.Stats.add_int s (Rng.binomial rng 40 0.9)
-  done;
-  checkb "mean near 36" true (abs_float (Metrics.Stats.mean s -. 36.0) < 0.2)
 
 let test_poisson_mean () =
   let rng = Rng.of_int 19 in
@@ -254,14 +222,6 @@ let prop_shuffle_multiset =
       let s = Rng.shuffle rng a in
       List.sort compare (Array.to_list s) = List.sort compare l)
 
-let prop_binomial_range =
-  QCheck.Test.make ~name:"binomial in [0, n]" ~count:500
-    QCheck.(triple small_int (int_range 0 200) (float_range 0.0 1.0))
-    (fun (seed, n, p) ->
-      let rng = Rng.of_int seed in
-      let v = Rng.binomial rng n p in
-      v >= 0 && v <= n)
-
 let prop_geometric_nonneg =
   QCheck.Test.make ~name:"geometric non-negative" ~count:500
     QCheck.(pair small_int (float_range 0.01 1.0))
@@ -332,7 +292,6 @@ let suite =
     Alcotest.test_case "int bounds" `Quick test_int_bounds;
     Alcotest.test_case "int bound 1" `Quick test_int_one;
     Alcotest.test_case "int invalid bound" `Quick test_int_invalid;
-    Alcotest.test_case "int_in range" `Quick test_int_in;
     Alcotest.test_case "int uniformity" `Quick test_int_uniformity;
     Alcotest.test_case "float bounds" `Quick test_float_bounds;
     Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
@@ -341,9 +300,6 @@ let suite =
     Alcotest.test_case "exponential positive" `Quick test_exponential_positive;
     Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
     Alcotest.test_case "geometric p=1" `Quick test_geometric_p1;
-    Alcotest.test_case "binomial mean/var" `Quick test_binomial_mean_var;
-    Alcotest.test_case "binomial edges" `Quick test_binomial_edges;
-    Alcotest.test_case "binomial high p" `Quick test_binomial_high_p;
     Alcotest.test_case "poisson mean" `Quick test_poisson_mean;
     Alcotest.test_case "poisson lambda 0" `Quick test_poisson_zero;
     Alcotest.test_case "poisson large lambda" `Quick test_poisson_large;
@@ -360,6 +316,5 @@ let suite =
     Alcotest.test_case "known answers: bounded draws" `Quick test_known_answers_draws;
     QCheck_alcotest.to_alcotest prop_int_in_bounds;
     QCheck_alcotest.to_alcotest prop_shuffle_multiset;
-    QCheck_alcotest.to_alcotest prop_binomial_range;
     QCheck_alcotest.to_alcotest prop_geometric_nonneg;
   ]

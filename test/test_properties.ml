@@ -330,7 +330,9 @@ let randnum_on_kernel cfg ~cluster ~range =
           Net.add_node net ~id (fun ~round ~inbox ->
               ignore inbox;
               if (round = 1 || round = 2) && contribution <> None then
-                Net.multicast net ~src:id ~dsts:members ~except:id ~label:"randnum" 0))
+                Net.multicast net ~src:id
+                  ~dsts:(List.filter (( <> ) id) members)
+                  ~label:"randnum" 0))
         members;
       Net.run_rounds net 2;
       Randnum.conclude ~secure ~n ~range !contributions)

@@ -1,7 +1,6 @@
-(* Tests for the remaining message-level protocols: reliable broadcast and
-   network discovery. *)
+(* Tests for network discovery: completion under silent Byzantine nodes,
+   its connectivity precondition, rounds and message charging. *)
 
-module RB = Agreement.Reliable_bcast
 module B = Agreement.Byz_behavior
 module Discovery = Cluster.Discovery
 module Graph = Dsgraph.Graph
@@ -11,80 +10,7 @@ module Rng = Prng.Rng
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
-let committee n = List.init n (fun i -> i)
-
 let byz_set ids strategy id = if List.mem id ids then Some strategy else None
-
-(* ---------- reliable broadcast ---------- *)
-
-let test_rb_honest_sender () =
-  let o =
-    RB.run ~committee:(committee 7) ~sender:0 ~value:42 ~byzantine:(fun _ -> None) ()
-  in
-  checkb "consistent" true o.RB.consistent;
-  List.iter
-    (fun (id, v) ->
-      Alcotest.check
-        (Alcotest.option Alcotest.int)
-        (Printf.sprintf "node %d delivers" id)
-        (Some 42) v)
-    o.RB.delivered
-
-let test_rb_honest_sender_with_byz_members () =
-  List.iter
-    (fun strategy ->
-      let o =
-        RB.run ~committee:(committee 10) ~sender:3 ~value:7
-          ~byzantine:(byz_set [ 0; 5; 9 ] strategy)
-          ()
-      in
-      checkb "consistent" true o.RB.consistent;
-      List.iter
-        (fun (_, v) -> checkb "validity" true (v = Some 7))
-        o.RB.delivered)
-    [ B.Silent; B.Fixed 9; B.Equivocate (1, 2); B.Random_noise 5 ]
-
-let test_rb_equivocating_sender_consistent () =
-  (* A Byzantine sender equivocates; honest members must never deliver two
-     different values (they may deliver nothing). *)
-  let o =
-    RB.run ~committee:(committee 10) ~sender:0 ~value:1
-      ~byzantine:(byz_set [ 0 ] (B.Equivocate (11, 22)))
-      ()
-  in
-  checkb "consistency under equivocation" true o.RB.consistent
-
-let test_rb_silent_sender () =
-  let o =
-    RB.run ~committee:(committee 7) ~sender:0 ~value:1
-      ~byzantine:(byz_set [ 0 ] B.Silent)
-      ()
-  in
-  checkb "consistent" true o.RB.consistent;
-  List.iter (fun (_, v) -> checkb "nobody delivers" true (v = None)) o.RB.delivered
-
-let test_rb_singleton () =
-  let o = RB.run ~committee:[ 5 ] ~sender:5 ~value:3 ~byzantine:(fun _ -> None) () in
-  checkb "self delivery" true (o.RB.delivered = [ (5, Some 3) ])
-
-let test_rb_equivocation_fuzz () =
-  (* Many committee sizes and byzantine subsets: consistency must never
-     break within the t < n/3 budget. *)
-  let rng = Rng.of_int 7 in
-  for _ = 1 to 20 do
-    let n = 4 + Rng.int rng 8 in
-    let t = RB.max_faulty n in
-    let byz_ids = if t = 0 then [] else Rng.sample_distinct rng t n in
-    let sender = Rng.int rng n in
-    let o =
-      RB.run ~committee:(committee n) ~sender ~value:5
-        ~byzantine:(byz_set byz_ids (B.Equivocate (1, 2)))
-        ()
-    in
-    checkb "consistency" true o.RB.consistent;
-    if not (List.mem sender byz_ids) then
-      List.iter (fun (_, v) -> checkb "validity" true (v = Some 5)) o.RB.delivered
-  done
 
 (* ---------- discovery ---------- *)
 
@@ -147,13 +73,6 @@ let test_discovery_counts_messages () =
 
 let suite =
   [
-    Alcotest.test_case "RB honest sender" `Quick test_rb_honest_sender;
-    Alcotest.test_case "RB byz members" `Quick test_rb_honest_sender_with_byz_members;
-    Alcotest.test_case "RB equivocating sender" `Quick
-      test_rb_equivocating_sender_consistent;
-    Alcotest.test_case "RB silent sender" `Quick test_rb_silent_sender;
-    Alcotest.test_case "RB singleton" `Quick test_rb_singleton;
-    Alcotest.test_case "RB equivocation fuzz" `Quick test_rb_equivocation_fuzz;
     Alcotest.test_case "discovery all honest" `Quick test_discovery_all_honest;
     Alcotest.test_case "discovery silent byz" `Quick test_discovery_with_silent_byz;
     Alcotest.test_case "discovery precondition" `Quick

@@ -127,27 +127,6 @@ let test_endpoint_counts_total () =
   let total = Hashtbl.fold (fun _ c acc -> acc + c) counts 0 in
   checki "totals" 500 total
 
-let test_mixing_estimate () =
-  let rng = Rng.of_int 11 in
-  (* An expander mixes fast; a ring of the same size mixes much slower. *)
-  let expander = Gen.erdos_renyi_connected rng ~n:32 ~p:0.25 in
-  let ring = Gen.ring ~n:32 in
-  let d_expander =
-    Ctrw.estimate_mixing_duration expander rng ~tv_target:0.15 ~trials:1500 ()
-  in
-  let d_ring = Ctrw.estimate_mixing_duration ring rng ~tv_target:0.15 ~trials:1500 () in
-  checkb
-    (Printf.sprintf "expander (%.2f) mixes faster than ring (%.2f)" d_expander d_ring)
-    true
-    (d_expander < d_ring);
-  checkb "expander mixes in bounded time" true (d_expander < 8.0)
-
-let test_mixing_estimate_empty () =
-  let rng = Rng.of_int 12 in
-  Alcotest.check_raises "empty graph"
-    (Invalid_argument "Ctrw.estimate_mixing_duration: empty graph") (fun () ->
-      ignore (Ctrw.estimate_mixing_duration (Graph.create ()) rng ()))
-
 let test_tv_distance () =
   let counts = Hashtbl.create 4 in
   Hashtbl.replace counts 0 50;
@@ -177,6 +156,4 @@ let suite =
     Alcotest.test_case "invalid max_weight" `Quick test_biased_select_invalid_weight;
     Alcotest.test_case "endpoint counts total" `Quick test_endpoint_counts_total;
     Alcotest.test_case "tv distance" `Quick test_tv_distance;
-    Alcotest.test_case "mixing estimate" `Quick test_mixing_estimate;
-    Alcotest.test_case "mixing estimate empty" `Quick test_mixing_estimate_empty;
   ]

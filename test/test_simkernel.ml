@@ -14,9 +14,9 @@ let test_delivery_next_round () =
   Net.add_node net ~id:2 (fun ~round ~inbox ->
       ignore round;
       got := inbox @ !got);
-  Net.run_round net;
+  Net.run_rounds net 1;
   checki "not yet delivered" 0 (List.length !got);
-  Net.run_round net;
+  Net.run_rounds net 1;
   Alcotest.check
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
     "delivered with sender" [ (1, "hello") ] !got
@@ -48,35 +48,18 @@ let test_inbox_sorted_by_sender () =
   Net.run_rounds net 2;
   Alcotest.check (Alcotest.list Alcotest.int) "sorted senders" [ 3; 7; 9 ] !got
 
-let test_remove_node_drops_messages () =
-  let net = Net.create () in
-  let received = ref 0 in
-  Net.add_node net ~id:1 (fun ~round ~inbox ->
-      ignore inbox;
-      if round = 1 then Net.send net ~src:1 ~dst:2 "gone");
-  Net.add_node net ~id:2 (fun ~round ~inbox ->
-      ignore round;
-      received := !received + List.length inbox);
-  Net.run_round net;
-  Net.remove_node net 2;
-  Net.run_round net;
-  checki "nothing received" 0 !received;
-  checkb "alive check" false (Net.is_alive net 2);
-  checkb "others alive" true (Net.is_alive net 1)
-
+(* A sender must be registered: an unknown id cannot speak. *)
 let test_dead_sender_rejected () =
-  let net = Net.create () in
-  List.iter
-    (fun id -> Net.add_node net ~id (fun ~round ~inbox -> ignore (round, inbox)))
-    [ 1; 2 ];
-  Net.remove_node net 1;
+  let ledger = Metrics.Ledger.create () in
+  let net = Net.create ~ledger () in
+  Net.add_node net ~id:2 (fun ~round ~inbox -> ignore (round, inbox));
   Alcotest.check_raises "dead sender" (Invalid_argument "Net.send: sender is not alive")
     (fun () -> Net.send net ~src:1 ~dst:1 "boo");
   Alcotest.check_raises "dead multicaster"
     (Invalid_argument "Net.send: sender is not alive") (fun () ->
       Net.multicast net ~src:1 ~dsts:[ 1; 2 ] "boo");
   checki "nothing counted" 0 (Net.messages_sent net);
-  checki "nothing charged" 0 (Metrics.Ledger.total_messages (Net.ledger net))
+  checki "nothing charged" 0 (Metrics.Ledger.total_messages ledger)
 
 let test_duplicate_node () =
   let net = Net.create () in
@@ -84,20 +67,9 @@ let test_duplicate_node () =
   Alcotest.check_raises "duplicate id" (Invalid_argument "Net.add_node: id already in use")
     (fun () -> Net.add_node net ~id:1 (fun ~round ~inbox -> ignore (round, inbox)))
 
-let test_replace_handler () =
-  let net = Net.create () in
-  let calls = ref 0 in
-  Net.add_node net ~id:1 (fun ~round ~inbox -> ignore (round, inbox));
-  Net.replace_handler net ~id:1 (fun ~round ~inbox ->
-      ignore (round, inbox);
-      incr calls);
-  Net.run_round net;
-  checki "new handler ran" 1 !calls;
-  Alcotest.check_raises "unknown node" (Invalid_argument "Net.replace_handler: unknown node")
-    (fun () -> Net.replace_handler net ~id:77 (fun ~round ~inbox -> ignore (round, inbox)))
-
 let test_message_and_round_accounting () =
-  let net = Net.create () in
+  let ledger = Metrics.Ledger.create () in
+  let net = Net.create ~ledger () in
   Net.add_node net ~id:1 (fun ~round ~inbox ->
       ignore inbox;
       if round <= 2 then Net.multicast net ~src:1 ~dsts:[ 1; 2 ] ~label:"t" "m");
@@ -105,7 +77,6 @@ let test_message_and_round_accounting () =
   Net.run_rounds net 3;
   checki "messages" 4 (Net.messages_sent net);
   checki "round counter" 3 (Net.round net);
-  let ledger = Net.ledger net in
   checki "ledger label" 4 (Metrics.Ledger.label_messages ledger "t");
   checki "ledger rounds" 3 (Metrics.Ledger.total_rounds ledger)
 
@@ -130,26 +101,19 @@ let test_run_until () =
     (Failure "Net.run_until: predicate not satisfied within max_rounds") (fun () ->
       ignore (Net.run_until net ~max_rounds:3 (fun () -> false)))
 
+(* Handlers run in increasing id order, whatever the registration order. *)
 let test_nodes_sorted () =
   let net = Net.create () in
+  let ran = ref [] in
   List.iter
-    (fun id -> Net.add_node net ~id (fun ~round ~inbox -> ignore (round, inbox)))
+    (fun id ->
+      Net.add_node net ~id (fun ~round ~inbox ->
+          ignore (round, inbox);
+          ran := id :: !ran))
     [ 5; 1; 3 ];
-  Alcotest.check (Alcotest.list Alcotest.int) "sorted" [ 1; 3; 5 ] (Net.nodes net)
-
-let test_handler_removing_node_mid_round () =
-  (* Node 1 removes node 2 during its handler; node 2's handler must not
-     run afterwards in the same round. *)
-  let net = Net.create () in
-  let ran = ref false in
-  Net.add_node net ~id:1 (fun ~round ~inbox ->
-      ignore (round, inbox);
-      Net.remove_node net 2);
-  Net.add_node net ~id:2 (fun ~round ~inbox ->
-      ignore (round, inbox);
-      ran := true);
-  Net.run_round net;
-  checkb "removed node skipped" false !ran
+  Net.run_rounds net 2;
+  Alcotest.check (Alcotest.list Alcotest.int) "sorted" [ 1; 3; 5; 1; 3; 5 ]
+    (List.rev !ran)
 
 (* ---------- the send-time delivery rule ---------- *)
 
@@ -168,57 +132,33 @@ let test_unknown_destination_lost () =
   Net.send net ~src:1 ~dst:7 "early";
   Net.multicast net ~src:1 ~dsts:[ 7; 8 ] "early";
   Net.add_node net ~id:7 (fun ~round:_ ~inbox -> got := inbox @ !got);
-  Net.run_round net;
+  Net.run_rounds net 1;
   checki "counted" 3 (Net.messages_sent net);
   checki "lost" 0 (List.length !got);
   Net.send net ~src:1 ~dst:7 "late";
-  Net.run_round net;
+  Net.run_rounds net 1;
   Alcotest.check
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
     "a send after registration arrives" [ (1, "late") ] !got
 
-(* [~except] skips exactly that id. *)
-let test_multicast_except () =
-  let net = Net.create () in
-  let got = ref [] in
-  List.iter
-    (fun id ->
-      Net.add_node net ~id (fun ~round:_ ~inbox ->
-          List.iter (fun (src, ()) -> got := (src, id) :: !got) inbox))
-    [ 1; 2; 3; 4 ];
-  Net.multicast net ~src:2 ~dsts:[ 1; 2; 3; 4 ] ~except:2 ~label:"m" ();
-  Net.run_round net;
-  checki "n - 1 sent" 3 (Net.messages_sent net);
-  checki "n - 1 charged" 3 (Metrics.Ledger.label_messages (Net.ledger net) "m");
-  Alcotest.check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "everyone but the sender"
-    [ (2, 1); (2, 3); (2, 4) ]
-    (List.sort compare !got);
-  Net.multicast net ~src:2 ~dsts:[ 1; 2; 3; 4 ] ~except:9 ~label:"m" ();
-  checki "absent except skips nothing" 7 (Net.messages_sent net)
-
 (* Random scripts of registrations, sends, multicasts (unknown ids,
-   [~except]) and rounds: a run under a net-detail collector and a plain
-   run must agree on every counter, every ledger label and every
-   delivered inbox, and the traced run emits one [net.send.*] point per
-   message. *)
+   unregistered senders) and rounds: a run under a net-detail collector
+   and a plain run must agree on every counter, every ledger label and
+   every delivered inbox, and the traced run emits one [net.send.*] point
+   per message and one [net.byz.*] point per accepted deviant send. *)
 type op =
   | Add of int
-  | Remove of int
   | Send of int * int * bool
-  | Multicast of int * int list * int option
+  | Multicast of int * int list
   | Round
 
 let print_op = function
   | Add id -> Printf.sprintf "add %d" id
-  | Remove id -> Printf.sprintf "remove %d" id
   | Send (src, dst, deviant) ->
     Printf.sprintf "send %d->%d%s" src dst (if deviant then " deviant" else "")
-  | Multicast (src, dsts, except) ->
-    Printf.sprintf "multicast %d->[%s]%s" src
+  | Multicast (src, dsts) ->
+    Printf.sprintf "multicast %d->[%s]" src
       (String.concat ";" (List.map string_of_int dsts))
-      (match except with Some e -> Printf.sprintf " except %d" e | None -> "")
   | Round -> "round"
 
 let gen_op =
@@ -227,17 +167,17 @@ let gen_op =
     frequency
       [
         (3, map (fun id -> Add id) id);
-        (1, map (fun id -> Remove id) id);
         (3, map3 (fun src dst deviant -> Send (src, dst, deviant)) id id bool);
         ( 3,
-          map3
-            (fun src dsts except -> Multicast (src, dsts, except))
-            id (list_size (int_range 0 6) id) (opt id) );
+          map2 (fun src dsts -> Multicast (src, dsts)) id (list_size (int_range 0 6) id) );
         (2, return Round);
       ])
 
 let run_script ops =
-  let net = Net.create () in
+  let ledger = Metrics.Ledger.create () in
+  let net = Net.create ~ledger () in
+  let added = Hashtbl.create 8 in
+  let deviant_sent = ref 0 in
   let log = ref [] in
   let handler id ~round ~inbox =
     if inbox <> [] then log := `Inbox (round, id, inbox) :: !log
@@ -246,19 +186,21 @@ let run_script ops =
   List.iteri
     (fun i op ->
       match op with
-      | Add id -> if not (Net.is_alive net id) then Net.add_node net ~id (handler id)
-      | Remove id -> Net.remove_node net id
+      | Add id ->
+        if not (Hashtbl.mem added id) then begin
+          Hashtbl.add added id ();
+          Net.add_node net ~id (handler id)
+        end
       | Send (src, dst, deviant) ->
-        attempt (fun () -> Net.send net ~src ~dst ~label:"s" ~deviant i)
-      | Multicast (src, dsts, except) ->
-        attempt (fun () -> Net.multicast net ~src ~dsts ?except ~label:"m" i)
-      | Round -> Net.run_round net)
+        attempt (fun () ->
+            Net.send net ~src ~dst ~label:"s" ~deviant i;
+            if deviant then incr deviant_sent)
+      | Multicast (src, dsts) ->
+        attempt (fun () -> Net.multicast net ~src ~dsts ~label:"m" i)
+      | Round -> Net.run_rounds net 1)
     ops;
-  Net.run_round net;
-  ( Net.messages_sent net,
-    Net.deviant_sent net,
-    Metrics.Ledger.labels (Net.ledger net),
-    List.rev !log )
+  Net.run_rounds net 1;
+  (Net.messages_sent net, !deviant_sent, Metrics.Ledger.labels ledger, List.rev !log)
 
 let prop_traced_equals_untraced =
   QCheck.Test.make ~name:"count-only delivery == per-message delivery" ~count:300
@@ -268,26 +210,23 @@ let prop_traced_equals_untraced =
     (fun ops ->
       let traced, dump = Trace.profiled ~net_detail:true (fun () -> run_script ops) in
       let plain = run_script ops in
-      let sent, _, _, _ = traced in
+      let sent, deviant, _, _ = traced in
       traced = plain
-      && count_points "net.send.s" dump + count_points "net.send.m" dump = sent)
+      && count_points "net.send.s" dump + count_points "net.send.m" dump = sent
+      && count_points "net.byz.s" dump = deviant)
 
 let suite =
   [
     Alcotest.test_case "delivery next round" `Quick test_delivery_next_round;
     Alcotest.test_case "sender stamped" `Quick test_sender_is_stamped;
     Alcotest.test_case "inbox sorted" `Quick test_inbox_sorted_by_sender;
-    Alcotest.test_case "remove drops messages" `Quick test_remove_node_drops_messages;
     Alcotest.test_case "dead sender rejected" `Quick test_dead_sender_rejected;
     Alcotest.test_case "duplicate id rejected" `Quick test_duplicate_node;
-    Alcotest.test_case "replace handler" `Quick test_replace_handler;
     Alcotest.test_case "cost accounting" `Quick test_message_and_round_accounting;
     Alcotest.test_case "self message" `Quick test_self_message;
     Alcotest.test_case "run_until" `Quick test_run_until;
     Alcotest.test_case "nodes sorted" `Quick test_nodes_sorted;
-    Alcotest.test_case "mid-round removal" `Quick test_handler_removing_node_mid_round;
     Alcotest.test_case "unknown destination at send time: lost" `Quick
       test_unknown_destination_lost;
-    Alcotest.test_case "multicast except" `Quick test_multicast_except;
     QCheck_alcotest.to_alcotest prop_traced_equals_untraced;
   ]
