@@ -2,20 +2,8 @@
    fragment is a pure function of the store contents, keeping the emitted
    document byte-deterministic. *)
 
-let html_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Html = Metrics.Html
 
-let short v = Printf.sprintf "%.4g" v
 let full = Store.float_repr
 
 let labels_text labels =
@@ -92,12 +80,7 @@ let group_cards store =
 (* SVG chart                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let chart_w = 560.0
-let chart_h = 150.0
-let pad_l = 50.0
-let pad_r = 12.0
-let pad_t = 10.0
-let pad_b = 24.0
+let geometry = { Html.height = 150.0; pad_b = 24.0 }
 
 let chart buf card =
   let all_values =
@@ -111,46 +94,23 @@ let chart buf card =
   in
   let tmin = List.fold_left min max_int all_times in
   let tmax = List.fold_left max min_int all_times in
-  let vlo = List.fold_left min infinity all_values in
-  let vhi = List.fold_left max neg_infinity all_values in
-  let vlo, vhi = if vhi > vlo then (vlo, vhi) else (vlo -. 0.5, vhi +. 0.5) in
-  let span = vhi -. vlo in
-  let vlo = vlo -. (0.08 *. span) and vhi = vhi +. (0.08 *. span) in
-  let x t =
-    if tmax = tmin then pad_l +. ((chart_w -. pad_l -. pad_r) /. 2.0)
-    else
-      pad_l
-      +. (chart_w -. pad_l -. pad_r)
-         *. (float_of_int (t - tmin) /. float_of_int (tmax - tmin))
-  in
-  let y v =
-    chart_h -. pad_b -. ((chart_h -. pad_t -. pad_b) *. ((v -. vlo) /. (vhi -. vlo)))
-  in
+  let vlo, vhi = Html.padded_range all_values in
+  let x t = Html.x ~lo:tmin ~hi:tmax t in
+  let y v = Html.y geometry ~vlo ~vhi v in
   let pt t v = Printf.sprintf "%.2f,%.2f" (x t) (y v) in
   let bpf fmt = Printf.bprintf buf fmt in
-  bpf
-    "<svg viewBox=\"0 0 %.0f %.0f\" role=\"img\" aria-label=\"%s time \
-     series\">\n" chart_w chart_h
-    (html_escape (card.c_series ^ " " ^ labels_text card.c_labels));
-  (* recessive grid: three hairlines + baseline *)
-  let gridline v =
-    bpf
-      "<line class=\"grid\" x1=\"%.2f\" y1=\"%.2f\" x2=\"%.2f\" y2=\"%.2f\"/>\n\
-       <text class=\"tick\" x=\"%.2f\" y=\"%.2f\" text-anchor=\"end\">%s</text>\n"
-      pad_l (y v) (chart_w -. pad_r) (y v) (pad_l -. 5.0) (y v +. 3.0)
-      (html_escape (short v))
-  in
-  gridline vhi;
-  gridline ((vlo +. vhi) /. 2.0);
-  bpf
-    "<line class=\"baseline\" x1=\"%.2f\" y1=\"%.2f\" x2=\"%.2f\" y2=\"%.2f\"/>\n"
-    pad_l (chart_h -. pad_b) (chart_w -. pad_r) (chart_h -. pad_b);
+  let bottom = geometry.height -. geometry.pad_b in
+  let right = Html.width -. Html.pad_r in
+  Html.open_svg buf geometry
+    ~aria:(card.c_series ^ " " ^ labels_text card.c_labels ^ " time series");
+  (* recessive grid: two hairlines + baseline *)
+  Html.frame buf geometry ~vlo ~vhi;
   bpf "<text class=\"tick\" x=\"%.2f\" y=\"%.2f\" text-anchor=\"end\">%s</text>\n"
-    (pad_l -. 5.0) (chart_h -. pad_b +. 3.0) (html_escape (short vlo));
-  bpf "<text class=\"tick\" x=\"%.2f\" y=\"%.2f\">t=%d</text>\n" pad_l
-    (chart_h -. 8.0) tmin;
+    (Html.pad_l -. 5.0) (bottom +. 3.0) (Html.escape (Html.short vlo));
+  bpf "<text class=\"tick\" x=\"%.2f\" y=\"%.2f\">t=%d</text>\n" Html.pad_l
+    (geometry.height -. 8.0) tmin;
   bpf "<text class=\"tick\" x=\"%.2f\" y=\"%.2f\" text-anchor=\"end\">t=%d</text>\n"
-    (chart_w -. pad_r) (chart_h -. 8.0) tmax;
+    right (geometry.height -. 8.0) tmax;
   (* the bound: a dashed critical edge with a text label (never colour
      alone) *)
   (match card.bound_points with
@@ -160,8 +120,7 @@ let chart buf card =
         match bpts with
         | [ (_, v) ] ->
             (* a constant bound sampled once: stretch it across the plot *)
-            Printf.sprintf "%.2f,%.2f %.2f,%.2f" pad_l (y v)
-              (chart_w -. pad_r) (y v)
+            Printf.sprintf "%.2f,%.2f %.2f,%.2f" Html.pad_l (y v) right (y v)
         | _ -> String.concat " " (List.map (fun (t, v) -> pt t v) bpts)
       in
       let _, bv = List.hd (List.rev bpts) in
@@ -169,9 +128,9 @@ let chart buf card =
       bpf
         "<text class=\"bound-label\" x=\"%.2f\" y=\"%.2f\" \
          text-anchor=\"end\">bound %s</text>\n"
-        (chart_w -. pad_r -. 2.0)
+        (right -. 2.0)
         (y bv -. 4.0)
-        (html_escape (short bv)));
+        (Html.escape (Html.short bv)));
   (* the series itself: one 2px line, so no legend is needed *)
   (match card.points with
   | [ (t, v) ] ->
@@ -191,9 +150,9 @@ let chart buf card =
         "<circle class=\"breach\" cx=\"%.2f\" cy=\"%.2f\" \
          r=\"4\"><title>breach t=%d: %s (bound %s) — %s</title></circle>\n"
         (x v.v_time) (y v.observed) v.v_time
-        (html_escape (full v.observed))
-        (html_escape (full v.bound))
-        (html_escape v.detail))
+        (Html.escape (full v.observed))
+        (Html.escape (full v.bound))
+        (Html.escape v.detail))
     card.marks;
   (* hover layer: oversized transparent hit targets with native tooltips *)
   if List.length card.points <= 600 then
@@ -203,7 +162,7 @@ let chart buf card =
           "<circle class=\"hit\" cx=\"%.2f\" cy=\"%.2f\" \
            r=\"7\"><title>t=%d: %s</title></circle>\n"
           (x t) (y v) t
-          (html_escape (full v)))
+          (Html.escape (full v)))
       card.points;
   bpf "</svg>\n"
 
@@ -277,17 +236,17 @@ let waterfall_html buf rows =
       let y = row_h *. float_of_int i in
       let w v = bar_w *. (v /. scale) in
       bpf "<text class=\"wf-name\" x=\"0\" y=\"%.2f\">%s</text>\n" (y +. 14.0)
-        (html_escape prim);
+        (Html.escape prim);
       if labels <> [] then
         bpf "<text class=\"wf-sub\" x=\"0\" y=\"%.2f\">%s</text>\n" (y +. 25.0)
-          (html_escape (labels_text labels));
+          (Html.escape (labels_text labels));
       let bar cls v =
         if v > 0.0 then
           bpf
             "<rect class=\"%s\" x=\"%.2f\" y=\"%.2f\" width=\"%.2f\" \
              height=\"14\"><title>%s %s: %s</title></rect>\n"
-            cls label_w (y +. 4.0) (w v) cls (html_escape prim)
-            (html_escape (full v))
+            cls label_w (y +. 4.0) (w v) cls (Html.escape prim)
+            (Html.escape (full v))
       in
       bar "wf-max" c.(3);
       bar "wf-p99" c.(2);
@@ -296,7 +255,7 @@ let waterfall_html buf rows =
       bpf "<text class=\"wf-val\" x=\"%.2f\" y=\"%.2f\">max %s</text>\n"
         (label_w +. w c.(3) +. 6.0)
         (y +. 15.0)
-        (html_escape (short c.(3)));
+        (Html.escape (Html.short c.(3)));
       if c.(4) > 0.0 then
         bpf
           "<text class=\"wf-timeout\" x=\"%.2f\" y=\"%.2f\">&#9888; %.0f \
@@ -310,7 +269,7 @@ let waterfall_html buf rows =
     label_w (height -. 6.0)
     (label_w +. bar_w)
     (height -. 6.0)
-    (html_escape (short scale));
+    (Html.escape (Html.short scale));
   bpf "</svg>\n</section>\n"
 
 (* ------------------------------------------------------------------ *)
@@ -334,17 +293,17 @@ let summary_stats points =
 let card_html buf card =
   let bpf fmt = Printf.bprintf buf fmt in
   bpf "<section class=\"card\">\n<header>\n<div>\n<h3>%s</h3>\n"
-    (html_escape card.c_series);
+    (Html.escape card.c_series);
   bpf "<p class=\"labels\">%s · %s</p>\n"
-    (html_escape (labels_text card.c_labels))
-    (html_escape (Store.kind_name card.c_kind));
+    (Html.escape (labels_text card.c_labels))
+    (Html.escape (Store.kind_name card.c_kind));
   (match Probe.describe card.c_series with
-  | Some d -> bpf "<p class=\"desc\">%s</p>\n" (html_escape d)
+  | Some d -> bpf "<p class=\"desc\">%s</p>\n" (Html.escape d)
   | None -> ());
   bpf "</div>\n";
   (match summary_stats card.points with
   | Some (_, _, _, last) ->
-      bpf "<p class=\"hero\">%s</p>\n" (html_escape (short last))
+      bpf "<p class=\"hero\">%s</p>\n" (Html.escape (Html.short last))
   | None -> ());
   bpf "</header>\n";
   chart buf card;
@@ -353,9 +312,9 @@ let card_html buf card =
       bpf
         "<p class=\"stats\"><span>min %s</span><span>p50 %s</span><span>max \
          %s</span><span>%d pts</span>"
-        (html_escape (short mn))
-        (html_escape (short md))
-        (html_escape (short mx))
+        (Html.escape (Html.short mn))
+        (Html.escape (Html.short md))
+        (Html.escape (Html.short mx))
         (List.length card.points);
       if card.marks <> [] then
         bpf "<span class=\"crit\">&#10007; %d breaches</span>"
@@ -371,7 +330,7 @@ let card_html buf card =
     (fun (t, v) ->
       if !shown < 1000 then begin
         incr shown;
-        bpf "<tr><td>%d</td><td>%s</td></tr>\n" t (html_escape (full v))
+        bpf "<tr><td>%d</td><td>%s</td></tr>\n" t (Html.escape (full v))
       end)
     card.points;
   if List.length card.points > 1000 then
@@ -380,30 +339,8 @@ let card_html buf card =
   bpf "</table>\n</details>\n</section>\n"
 
 let style =
-  {css|
-:root {
-  color-scheme: light;
-  --page: #f9f9f7; --surface-1: #fcfcfb;
-  --ink: #0b0b0b; --ink-2: #52514e; --muted: #898781;
-  --grid: #e1e0d9; --baseline: #c3c2b7;
-  --series-1: #2a78d6; --critical: #d03b3b; --good: #006300;
-  --ring: rgba(11,11,11,0.10);
-}
-@media (prefers-color-scheme: dark) {
-  :root {
-    color-scheme: dark;
-    --page: #0d0d0d; --surface-1: #1a1a19;
-    --ink: #ffffff; --ink-2: #c3c2b7; --muted: #898781;
-    --grid: #2c2c2a; --baseline: #383835;
-    --series-1: #3987e5; --critical: #d03b3b; --good: #0ca30c;
-    --ring: rgba(255,255,255,0.10);
-  }
-}
-* { box-sizing: border-box; }
-body { margin: 0; padding: 24px; background: var(--page); color: var(--ink);
-  font: 14px/1.45 system-ui, -apple-system, "Segoe UI", sans-serif; }
-h1 { font-size: 20px; margin: 0 0 4px; }
-h2 { font-size: 15px; margin: 28px 0 10px; }
+  Html.css_base
+  ^ {css|h2 { font-size: 15px; margin: 28px 0 10px; }
 h3 { font-size: 13px; font-weight: 600; margin: 0; }
 .meta { color: var(--ink-2); margin: 0 0 18px; }
 .tiles { display: flex; flex-wrap: wrap; gap: 12px; margin-bottom: 8px; }
@@ -471,12 +408,8 @@ let render ?(title = "nowlib invariant monitor") store =
   let violations = Store.violations store in
   let n_samples = Store.n_samples store in
   let n_violations = List.length violations in
-  bpf
-    "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
-     <meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\n\
-     <title>%s</title>\n<style>%s</style>\n</head>\n<body>\n"
-    (html_escape title) style;
-  bpf "<h1>%s</h1>\n" (html_escape title);
+  Html.head buf ~title ~css:style;
+  bpf "<h1>%s</h1>\n" (Html.escape title);
   bpf
     "<p class=\"meta\">deterministic time-series over the paper's safety \
      bounds · cadence %d · every number below is a pure function of the run's \
@@ -520,18 +453,18 @@ let render ?(title = "nowlib invariant monitor") store =
           "<tr><td class=\"crit\">&#10007; breach</td><td>%d</td><td>%s</td>\
            <td>%s</td><td>%s</td><td>%s</td><td>%s</td>"
           v.v_time
-          (html_escape v.invariant)
-          (html_escape (labels_text v.v_labels))
-          (html_escape (full v.observed))
-          (html_escape (full v.bound))
-          (html_escape v.detail);
+          (Html.escape v.invariant)
+          (Html.escape (labels_text v.v_labels))
+          (Html.escape (full v.observed))
+          (Html.escape (full v.bound))
+          (Html.escape v.detail);
         (* the blame pane: the causal window behind a disclosure, so the
            table stays scannable while every breach carries its history *)
         bpf "<td><details class=\"blame\"><summary>%d event%s</summary><ul>\n"
           (List.length v.blame)
           (if List.length v.blame = 1 then "" else "s");
         List.iter
-          (fun entry -> bpf "<li>%s</li>\n" (html_escape entry))
+          (fun entry -> bpf "<li>%s</li>\n" (Html.escape entry))
           v.blame;
         bpf "</ul></details></td></tr>\n")
       violations;

@@ -24,6 +24,13 @@ type run = {
 
 let parse_line lineno line =
   let j = parse_or_exit ~where:(Printf.sprintf "line %d" lineno) line in
+  (* [num] reads null as nan, which would reach the SVG as "nan"
+     coordinates: a plotted number must be finite. *)
+  let finite name item =
+    let v = num name item in
+    if Float.is_finite v then v
+    else format_error "line %d: %S is not a finite number" lineno name
+  in
   if num "format" j <> 1.0 then
     format_error "line %d: unknown format version" lineno;
   let mode =
@@ -44,61 +51,38 @@ let parse_line lineno line =
           let ok = member "ok" item = Bool true in
           ( id,
             ( ok,
-              num "wall_seconds" item,
+              finite "wall_seconds" item,
               num_opt "alloc_bytes" item,
               num_opt "peak_live_words" item ) ))
         items
     | _ -> format_error "line %d: \"experiments\" is not an array" lineno
   in
-  { mode; stamp = num "stamp" j; cells }
+  { mode; stamp = finite "stamp" j; cells }
 
+(* Line numbers count every line of the file, blank ones included. *)
 let load path =
-  let lines =
+  let runs =
     String.split_on_char '\n' (read_file path)
-    |> List.filter (fun l -> String.trim l <> "")
+    |> List.mapi (fun i l -> (i + 1, l))
+    |> List.filter_map (fun (lineno, l) ->
+           if String.trim l = "" then None else Some (parse_line lineno l))
   in
-  if lines = [] then format_error "%s: empty history" path;
-  List.mapi (fun i l -> parse_line (i + 1) l) lines
+  if runs = [] then format_error "%s: empty history" path;
+  runs
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let html_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Html = Metrics.Html
 
-let short v = Printf.sprintf "%.4g" v
-
-let chart_w = 560.0
-let chart_h = 140.0
-let pad_l = 50.0
-let pad_r = 12.0
-let pad_t = 10.0
-let pad_b = 22.0
+let geometry = { Html.height = 140.0; pad_b = 22.0 }
 
 (* One polyline over run indices (evenly spaced — runs are an ordered
    log, not a time axis), values scaled to [vlo, vhi]. *)
 let polyline buf ~cls ~n ~vlo ~vhi points =
-  let x i =
-    if n <= 1 then pad_l +. ((chart_w -. pad_l -. pad_r) /. 2.0)
-    else
-      pad_l
-      +. (chart_w -. pad_l -. pad_r) *. (float_of_int i /. float_of_int (n - 1))
-  in
-  let y v =
-    chart_h -. pad_b
-    -. ((chart_h -. pad_t -. pad_b) *. ((v -. vlo) /. (vhi -. vlo)))
-  in
+  let x i = Html.x ~lo:0 ~hi:(n - 1) i in
+  let y v = Html.y geometry ~vlo ~vhi v in
   (match points with
   | [ (i, v) ] ->
     Printf.bprintf buf "<circle class=\"dot %s\" cx=\"%.2f\" cy=\"%.2f\" r=\"3\"/>\n"
@@ -113,64 +97,39 @@ let polyline buf ~cls ~n ~vlo ~vhi points =
         "<circle class=\"hit\" cx=\"%.2f\" cy=\"%.2f\" r=\"7\"><title>run \
          %d: %s</title></circle>\n"
         (x i) (y v) (i + 1)
-        (html_escape (short v)))
+        (Html.escape (Html.short v)))
     points
 
 let card buf ~id ~n walls allocs lives oks =
   let bpf fmt = Printf.bprintf buf fmt in
   bpf "<section class=\"card\">\n<header>\n<div>\n<h3>%s</h3>\n"
-    (html_escape id);
+    (Html.escape id);
   let failures = List.length (List.filter (fun (_, ok) -> not ok) oks) in
   bpf "<p class=\"labels\">wall seconds per run%s%s</p>\n"
     (match allocs with [] -> "" | _ -> " · alloc MB dashed, own scale")
     (match lives with [] -> "" | _ -> " · live Mwords dotted, own scale");
   bpf "</div>\n";
   (match List.rev walls with
-  | (_, last) :: _ -> bpf "<p class=\"hero\">%ss</p>\n" (html_escape (short last))
+  | (_, last) :: _ -> bpf "<p class=\"hero\">%ss</p>\n" (Html.escape (Html.short last))
   | [] -> ());
   bpf "</header>\n";
-  bpf
-    "<svg viewBox=\"0 0 %.0f %.0f\" role=\"img\" aria-label=\"%s wall time \
-     across runs\">\n"
-    chart_w chart_h (html_escape id);
+  Html.open_svg buf geometry ~aria:(id ^ " wall time across runs");
   let values = List.map snd walls in
-  let vlo = List.fold_left min infinity values in
-  let vhi = List.fold_left max neg_infinity values in
-  let vlo, vhi = if vhi > vlo then (vlo, vhi) else (vlo -. 0.5, vhi +. 0.5) in
-  let span = vhi -. vlo in
-  let vlo = vlo -. (0.08 *. span) and vhi = vhi +. (0.08 *. span) in
-  let y v =
-    chart_h -. pad_b
-    -. ((chart_h -. pad_t -. pad_b) *. ((v -. vlo) /. (vhi -. vlo)))
-  in
-  let gridline v =
-    bpf
-      "<line class=\"grid\" x1=\"%.2f\" y1=\"%.2f\" x2=\"%.2f\" y2=\"%.2f\"/>\n\
-       <text class=\"tick\" x=\"%.2f\" y=\"%.2f\" text-anchor=\"end\">%s</text>\n"
-      pad_l (y v) (chart_w -. pad_r) (y v) (pad_l -. 5.0) (y v +. 3.0)
-      (html_escape (short v))
-  in
-  gridline vhi;
-  gridline ((vlo +. vhi) /. 2.0);
-  bpf
-    "<line class=\"baseline\" x1=\"%.2f\" y1=\"%.2f\" x2=\"%.2f\" y2=\"%.2f\"/>\n"
-    pad_l (chart_h -. pad_b) (chart_w -. pad_r) (chart_h -. pad_b);
-  bpf "<text class=\"tick\" x=\"%.2f\" y=\"%.2f\">run 1</text>\n" pad_l
-    (chart_h -. 6.0);
+  let vlo, vhi = Html.padded_range values in
+  Html.frame buf geometry ~vlo ~vhi;
+  bpf "<text class=\"tick\" x=\"%.2f\" y=\"%.2f\">run 1</text>\n" Html.pad_l
+    (geometry.height -. 6.0);
   bpf
     "<text class=\"tick\" x=\"%.2f\" y=\"%.2f\" text-anchor=\"end\">run \
      %d</text>\n"
-    (chart_w -. pad_r) (chart_h -. 6.0) n;
+    (Html.width -. Html.pad_r) (geometry.height -. 6.0) n;
   (* Alloc and live-words trends on their own scales, drawn first so
      wall stays on top. *)
   let own_scale cls = function
     | [] -> ()
     | pts ->
-      let vs = List.map snd pts in
-      let lo = List.fold_left min infinity vs in
-      let hi = List.fold_left max neg_infinity vs in
-      let lo, hi = if hi > lo then (lo, hi) else (lo -. 0.5, hi +. 0.5) in
-      polyline buf ~cls ~n ~vlo:lo ~vhi:hi pts
+      let vlo, vhi = Html.range (List.map snd pts) in
+      polyline buf ~cls ~n ~vlo ~vhi pts
   in
   own_scale "live" lives;
   own_scale "alloc" allocs;
@@ -178,17 +137,12 @@ let card buf ~id ~n walls allocs lives oks =
   List.iter
     (fun (i, ok) ->
       if not ok then
-        let x =
-          if n <= 1 then pad_l +. ((chart_w -. pad_l -. pad_r) /. 2.0)
-          else
-            pad_l
-            +. (chart_w -. pad_l -. pad_r)
-               *. (float_of_int i /. float_of_int (n - 1))
-        in
         bpf
           "<circle class=\"breach\" cx=\"%.2f\" cy=\"%.2f\" r=\"4\"><title>run \
            %d: paper-shape assertion failed</title></circle>\n"
-          x (chart_h -. pad_b) (i + 1))
+          (Html.x ~lo:0 ~hi:(n - 1) i)
+          (geometry.height -. geometry.pad_b)
+          (i + 1))
     oks;
   bpf "</svg>\n";
   let stats values unit =
@@ -197,9 +151,9 @@ let card buf ~id ~n walls allocs lives oks =
     else
       let sorted = List.sort compare values in
       Printf.sprintf "<span>min %s%s</span><span>max %s%s</span>"
-        (html_escape (short (List.nth sorted 0)))
+        (Html.escape (Html.short (List.nth sorted 0)))
         unit
-        (html_escape (short (List.nth sorted (n - 1))))
+        (Html.escape (Html.short (List.nth sorted (n - 1))))
         unit
   in
   bpf "<p class=\"stats\">%s%s%s<span>%d runs</span>" (stats values "s")
@@ -215,30 +169,8 @@ let card buf ~id ~n walls allocs lives oks =
   bpf "</p>\n</section>\n"
 
 let style =
-  {css|
-:root {
-  color-scheme: light;
-  --page: #f9f9f7; --surface-1: #fcfcfb;
-  --ink: #0b0b0b; --ink-2: #52514e; --muted: #898781;
-  --grid: #e1e0d9; --baseline: #c3c2b7;
-  --series-1: #2a78d6; --critical: #d03b3b; --good: #006300;
-  --ring: rgba(11,11,11,0.10);
-}
-@media (prefers-color-scheme: dark) {
-  :root {
-    color-scheme: dark;
-    --page: #0d0d0d; --surface-1: #1a1a19;
-    --ink: #ffffff; --ink-2: #c3c2b7; --muted: #898781;
-    --grid: #2c2c2a; --baseline: #383835;
-    --series-1: #3987e5; --critical: #d03b3b; --good: #0ca30c;
-    --ring: rgba(255,255,255,0.10);
-  }
-}
-* { box-sizing: border-box; }
-body { margin: 0; padding: 24px; background: var(--page); color: var(--ink);
-  font: 14px/1.45 system-ui, -apple-system, "Segoe UI", sans-serif; }
-h1 { font-size: 20px; margin: 0 0 4px; }
-h3 { font-size: 13px; font-weight: 600; margin: 0; }
+  Html.css_base
+  ^ {css|h3 { font-size: 13px; font-weight: 600; margin: 0; }
 .meta { color: var(--ink-2); margin: 0 0 18px; }
 .tiles { display: flex; flex-wrap: wrap; gap: 12px; margin-bottom: 18px; }
 .tile { background: var(--surface-1); border: 1px solid var(--ring);
@@ -284,18 +216,14 @@ let render runs =
   in
   let buf = Buffer.create 65536 in
   let bpf fmt = Printf.bprintf buf fmt in
-  bpf
-    "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
-     <meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\n\
-     <title>nowlib bench history</title>\n<style>%s</style>\n</head>\n<body>\n"
-    style;
+  Html.head buf ~title:"nowlib bench history" ~css:style;
   bpf "<h1>nowlib bench history</h1>\n";
   let last = List.nth runs (n - 1) in
   bpf
     "<p class=\"meta\">per-experiment wall time, caller-domain allocation and \
      peak live words across recorded bench runs · latest: %s mode, stamp \
      %.0f</p>\n"
-    (html_escape last.mode) last.stamp;
+    (Html.escape last.mode) last.stamp;
   bpf "<div class=\"tiles\">\n";
   bpf
     "<div class=\"tile\"><div class=\"k\">runs</div><div \
@@ -311,7 +239,7 @@ let render runs =
   bpf
     "<div class=\"tile\"><div class=\"k\">latest total wall</div><div \
      class=\"v\">%ss</div></div>\n"
-    (html_escape (short total_wall));
+    (Html.escape (Html.short total_wall));
   bpf "</div>\n<div class=\"grid-cards\">\n";
   List.iter
     (fun id ->

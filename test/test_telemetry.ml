@@ -434,6 +434,36 @@ let test_bench_report_golden () =
     Sys.remove out
   end
 
+(* Bad history lines are refused with their line number, counting blank
+   lines, and a null wall time is refused rather than drawn as nan. *)
+let test_bench_report_bad_lines () =
+  if not scripts_available then ()
+  else begin
+    let hist = Filename.temp_file "benchhist" ".jsonl" in
+    let out = Filename.temp_file "benchreport" ".html" in
+    let err = Filename.temp_file "script_stderr" ".txt" in
+    List.iter
+      (fun (what, contents, expected) ->
+        write_file hist contents;
+        checki (what ^ ": exit 2") 2
+          (Sys.command
+             (Printf.sprintf "../scripts/bench_report.exe %s %s > /dev/null 2> %s"
+                (Filename.quote hist) (Filename.quote out) (Filename.quote err)));
+        let stderr = In_channel.with_open_bin err In_channel.input_all in
+        Alcotest.(check string) (what ^ ": stderr") expected stderr)
+      [
+        ( "blank first line",
+          "\n{\"format\": 2}\n",
+          "bench_report: format error: line 2: unknown format version\n" );
+        ( "null wall time",
+          {|{"format": 1, "mode": "quick", "stamp": 1, "experiments": [{"id": "E1", "ok": true, "wall_seconds": null}]}|}
+          ^ "\n",
+          "bench_report: format error: line 1: \"wall_seconds\" is not a finite number\n"
+        );
+      ];
+    List.iter Sys.remove [ hist; out; err ]
+  end
+
 (* A path that exists but cannot be read as a file is reported like a
    malformed file: exit 2 and a format error on stderr, no exception. *)
 let test_scripts_reject_a_directory () =
@@ -507,6 +537,8 @@ let suite =
     Alcotest.test_case "bench_report smoke" `Quick test_bench_report_smoke;
     Alcotest.test_case "bench_report golden document" `Quick
       test_bench_report_golden;
+    Alcotest.test_case "bench_report refuses bad lines" `Quick
+      test_bench_report_bad_lines;
     Alcotest.test_case "bench scripts reject a directory" `Quick
       test_scripts_reject_a_directory;
   ]
