@@ -184,7 +184,6 @@ let create ?(seed = 0xADF0L) ~tau ~strategy engine =
     target = None;
   }
 
-let engine t = t.engine
 let steps_done t = t.steps
 let joins t = t.joins
 let leaves t = t.leaves

@@ -82,9 +82,6 @@ val run : ?steps_per_sample:int -> t -> steps:int -> on_sample:(t -> unit) -> un
 (** [run t ~steps ~on_sample] executes [steps] steps, invoking [on_sample]
     every [steps_per_sample] (default 100) steps and once at the end. *)
 
-val engine : t -> Now_core.Engine.t
-(** The driven engine (for direct inspection between samples). *)
-
 val steps_done : t -> int
 (** Steps executed so far. *)
 

@@ -53,6 +53,3 @@ val of_name : string -> (t, string) result
 val catalogue : (string * string) list
 (** [(name, one-line description)] for every model shape, in presentation
     order — the delay-model half of the CLI's self-description. *)
-
-val names : string list
-(** The first components of {!catalogue}. *)

@@ -11,7 +11,6 @@ type t = Recorder.t
 let create = Recorder.create
 let install = Recorder.install
 let uninstall = Recorder.uninstall
-let installed = Recorder.installed
 let recording = Recorder.recording
 let with_recorder = Recorder.with_recorder
 let maybe_record_engine = Recorder.maybe_record_engine

@@ -43,7 +43,6 @@ val install : t -> unit
 val uninstall : unit -> t
 (** {!Recorder.uninstall}. *)
 
-val installed : unit -> t option
 (** {!Recorder.installed}. *)
 
 val recording : unit -> bool

@@ -34,7 +34,6 @@ let create ?(cadence = 1) () =
   if cadence < 1 then invalid_arg "Audit.Recorder.create: cadence must be >= 1";
   { mutex = Mutex.create (); rec_cadence = cadence; recorded = [] }
 
-let cadence t = t.rec_cadence
 let due t ~step = step mod t.rec_cadence = 0
 
 let locked t f =
@@ -68,7 +67,6 @@ let uninstall () =
   | Some r -> r
   | None -> invalid_arg "Audit.Recorder.uninstall: no recorder is installed"
 
-let installed () = Atomic.get slot
 let recording () = Atomic.get slot <> None
 
 let with_recorder r f =

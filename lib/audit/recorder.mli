@@ -21,30 +21,18 @@ type frame = {
   digest : int64;
 }
 
-val compare_frame : frame -> frame -> int
-(** The canonical total order: [(labels, step, subsystem, digest)]. *)
-
 type t
+(** A mutable, thread-safe collection of frames. *)
 
 val create : ?cadence:int -> unit -> t
 (** A fresh empty recorder.  [cadence] (default 1) is the step sampling
-    period: {!due} holds on every [cadence]-th step.  Raises
+    period: the hooks record on every [cadence]-th step.  Raises
     [Invalid_argument] if [cadence < 1]. *)
 
-val cadence : t -> int
-(** The configured sampling period. *)
-
-val due : t -> step:int -> bool
-(** [step mod cadence = 0] — whether to record at [step]. *)
-
-val record :
-  ?labels:(string * string) list -> t -> step:int -> (string * int64) list ->
-  unit
-(** Record one frame per [(subsystem, digest)] pair at [step]. *)
-
 val frames : t -> frame list
-(** Every recorded frame in {!compare_frame} order — the canonical
-    stream every exporter serialises. *)
+(** Every recorded frame in the canonical total order
+    [(labels, step, subsystem, digest)] — the stream every exporter
+    serialises. *)
 
 val n_frames : t -> int
 (** Recorded frame count. *)
@@ -56,9 +44,6 @@ val install : t -> unit
 val uninstall : unit -> t
 (** Remove and return the installed recorder.  Raises [Invalid_argument]
     if none is installed. *)
-
-val installed : unit -> t option
-(** The currently installed recorder, if any. *)
 
 val recording : unit -> bool
 (** Whether a recorder is installed (one atomic read). *)

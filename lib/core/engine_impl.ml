@@ -74,13 +74,6 @@ module type S = sig
   val time_step : t -> int
   (** Number of join/leave operations executed so far. *)
 
-  val rng_cursors : t -> (string * int64) list
-  (** The engine's per-stream generator cursors —
-      [("engine", ...); ("over", ...)] — as saved states ({!Prng.Rng.save}).
-      A read-only probe for the audit layer's [rng] subsystem digest: two
-      trajectories whose state tables agree but whose streams have drifted
-      apart differ here first. *)
-
   val join : t -> Node.honesty -> Node.id * op_report
   (** A new node joins; the adversary decided its honesty.  Runs Algorithm 1
       (insert into a [randCl]-chosen cluster, full exchange, split if

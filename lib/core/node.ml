@@ -59,10 +59,4 @@ module Roster = struct
     if n = 0 then 0.0 else float_of_int t.byz_present /. float_of_int n
 
   let total_allocated t = t.next_id
-
-  let iter t f =
-    for id = 0 to t.next_id - 1 do
-      if Bitset.get t.present id then
-        f id (if Bitset.get t.byz id then Byzantine else Honest)
-    done
 end

@@ -42,6 +42,4 @@ module Roster : sig
 
   val total_allocated : t -> int
   (** All identities ever issued (present or departed). *)
-
-  val iter : t -> (id -> honesty -> unit) -> unit
 end

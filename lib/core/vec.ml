@@ -52,8 +52,6 @@ let to_list t =
   done;
   !acc
 
-let to_array t = Array.sub t.data 0 t.len
-
 let mem t v =
   let rec scan i = i < t.len && (t.data.(i) = v || scan (i + 1)) in
   scan 0

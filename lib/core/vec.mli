@@ -38,9 +38,6 @@ val iteri : (int -> int -> unit) -> t -> unit
 val to_list : t -> int list
 (** Elements in position order. *)
 
-val to_array : t -> int array
-(** Fresh array of the elements in position order. *)
-
 val mem : t -> int -> bool
 (** Linear scan. *)
 

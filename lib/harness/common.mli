@@ -42,6 +42,7 @@ val default_engine :
   Now_core.Engine.t
 
 val log2i : int -> float
+(** [log2 (max 1 n)] as a float: 0 for [n <= 1]. *)
 
 val par_map_trials :
   ?jobs:int -> seed:int64 -> (rng:Prng.Rng.t -> 'a -> 'b) -> 'a list -> 'b list

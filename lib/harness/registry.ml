@@ -50,8 +50,6 @@ let find id =
   let id = String.uppercase_ascii id in
   List.assoc_opt id all
 
-let describe id = List.assoc_opt (String.uppercase_ascii id) descriptions
-
 let run_ids ?(wrap = fun _id f -> f ()) ~mode ids =
   let selected =
     match ids with

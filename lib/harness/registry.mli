@@ -13,9 +13,6 @@ val descriptions : (string * string) list
 val find : string -> runner option
 (** Case-insensitive lookup by id. *)
 
-val describe : string -> string option
-(** Case-insensitive lookup in {!descriptions}. *)
-
 val run_ids :
   ?wrap:(string -> (unit -> Common.result) -> Common.result) ->
   mode:Common.mode -> string list -> Common.result list

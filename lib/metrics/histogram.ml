@@ -37,10 +37,6 @@ module Samples = struct
 
   let median t = percentile t 50.0
 
-  let to_array t =
-    ensure_sorted t;
-    Array.sub t.data 0 t.len
-
   (* Equal-width bins over the samples' own [min, max]; the min lands in
      bin 0 and the max in the last bin, so the chart spans bins 0 to
      [last].  An all-equal store widens to [min, min + 1] and fills bin 0

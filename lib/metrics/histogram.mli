@@ -17,8 +17,6 @@ module Samples : sig
       samples.  [nan] when empty. *)
 
   val median : t -> float
-  val to_array : t -> float array
-  (** Sorted copy of the samples. *)
 
   val pp : bins:int -> Format.formatter -> t -> unit
   (** Render as a small ASCII bar chart of [bins] equal bins over the

@@ -74,9 +74,3 @@ let snapshot t = { messages = t.total_messages; rounds = t.total_rounds }
 
 let since t snap =
   { messages = t.total_messages - snap.messages; rounds = t.total_rounds - snap.rounds }
-
-let pp ppf t =
-  Format.fprintf ppf "total: %d messages, %d rounds@." t.total_messages t.total_rounds;
-  List.iter
-    (fun (label, m, r) -> Format.fprintf ppf "  %-24s %12d msgs %10d rounds@." label m r)
-    (labels t)

@@ -7,8 +7,10 @@
     so experiments can report both totals and per-primitive breakdowns. *)
 
 type t
+(** A mutable cost account: totals plus per-label counts. *)
 
 val create : unit -> t
+(** An empty ledger. *)
 
 val charge : t -> label:string -> messages:int -> rounds:int -> unit
 (** Add [messages] messages and [rounds] sequential rounds under [label]. *)
@@ -36,12 +38,13 @@ val labels : t -> (string * int * int) list
 (** [(label, messages, rounds)] sorted by label. *)
 
 val reset : t -> unit
+(** Zero the totals and forget every label. *)
 
 type snapshot = { messages : int; rounds : int }
+(** The two totals at one moment. *)
 
 val snapshot : t -> snapshot
+(** The totals now, for a later {!since}. *)
 
 val since : t -> snapshot -> snapshot
 (** Cost accumulated since [snapshot] was taken. *)
-
-val pp : Format.formatter -> t -> unit

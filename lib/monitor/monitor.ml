@@ -23,7 +23,6 @@ let uninstall () =
   | Some m -> m
   | None -> invalid_arg "Monitor.uninstall: no monitor is installed"
 
-let installed () = Atomic.get slot
 let sampling () = Atomic.get slot <> None
 
 let with_monitor m f =

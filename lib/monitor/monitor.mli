@@ -46,9 +46,6 @@ val uninstall : unit -> t
 (** Remove and return the installed monitor.  Raises [Invalid_argument]
     if none is installed. *)
 
-val installed : unit -> t option
-(** The currently installed monitor, if any. *)
-
 val sampling : unit -> bool
 (** Whether a monitor is installed (one atomic read). *)
 

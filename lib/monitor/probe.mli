@@ -9,11 +9,6 @@
     sampling cannot perturb a trajectory (the zero-perturbation tests pin
     this down: tables are byte-identical with monitoring on and off). *)
 
-val series : (string * Store.kind * string) list
-(** The registry: every series the probes can emit, as
-    [(name, kind, one-line description)], sorted by name.  The dashboard
-    uses it for card subtitles and the docs for the series index. *)
-
 val describe : string -> string option
 (** Description of a series from {!series}; [None] for unknown names
     (e.g. dynamically named [byz.*] deviation counters). *)

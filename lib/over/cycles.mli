@@ -27,8 +27,6 @@ val remove_vertex : t -> int -> unit
 
 val n_vertices : t -> int
 
-val mem : t -> int -> bool
-
 val graph : t -> Dsgraph.Graph.t
 (** The materialised union graph (maintained incrementally; do not
     mutate). *)

@@ -53,8 +53,10 @@ val rng_state : t -> int64
 (** The overlay's private generator state (for exact snapshots). *)
 
 val n_vertices : t -> int
+(** Number of clusters in the overlay. *)
 
 val mem : t -> int -> bool
+(** Whether the cluster is a vertex of the overlay. *)
 
 val add_vertex : t -> int -> pick:(unit -> int) -> unit
 (** Insert a fresh vertex and give it [target_degree] edges to clusters

@@ -43,7 +43,6 @@ let create ~seed ?labels spec = of_rng ~rng:(Rng.create seed) ?labels spec
 let create_cell ~seed ~cell ?labels spec =
   of_rng ~rng:(Rng.of_int (seed + (701 * (cell + 1)))) ?labels spec
 
-let session t = t.session
 let config t = Msg_driver.config t.inner
 let labels t = Msg_driver.labels t.inner
 let label t = kind ^ ":" ^ t.spec.Spec.name

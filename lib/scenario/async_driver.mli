@@ -19,9 +19,6 @@
 
 type t
 
-val kind : string
-(** ["async"]. *)
-
 val supports : Spec.t -> (unit, string) result
 (** {!Msg_driver.supports} plus validation of the spec's [delay] name
     against the {!Asim.Delay} catalogue; constructors raise
@@ -39,25 +36,11 @@ val create_cell :
     own cell offset, disjoint from the state (101) and message (401)
     families. *)
 
-val of_rng :
-  ?patience:float -> rng:Prng.Rng.t -> ?labels:(string * string) list ->
-  Spec.t -> t
-(** Construction from an existing stream: {!Msg_driver.build} draws the
-    configuration from [rng], then {!of_config} wraps it; [patience]
-    overrides the session's deadline multiplier (default 8). *)
-
 val of_config :
   ?patience:float -> rng:Prng.Rng.t -> ?labels:(string * string) list ->
   Spec.t -> Cluster.Config.t -> t
 (** Wrap an already-built configuration (bespoke experiment geometries),
     like {!Msg_driver.of_config}; the delay stream is [Rng.split rng]. *)
-
-val session : t -> Asim.Session.t
-(** The underlying asynchronous session (clock, timeouts, direct
-    primitive access for experiments). *)
-
-val labels : t -> (string * string) list
-(** See {!Driver.S.labels}. *)
 
 val label : t -> string
 (** See {!Driver.S.label}: [async:scenario-name]. *)

@@ -87,8 +87,6 @@ end
 module type S = sig
   type t
 
-  val kind : string
-  val labels : t -> (string * string) list
   val label : t -> string
   val step : t -> time:int -> unit
   val sample : t -> time:int -> unit

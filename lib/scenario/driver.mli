@@ -74,12 +74,6 @@ end
 module type S = sig
   type t
 
-  val kind : string
-  (** ["state"], ["msg"] or ["async"]. *)
-
-  val labels : t -> (string * string) list
-  (** The monitor/trace labels fixed at creation. *)
-
   val label : t -> string
   (** Short display label ([kind:scenario-name]). *)
 

@@ -20,9 +20,6 @@
 
 type t
 
-val kind : string
-(** ["msg"]. *)
-
 val supports : Spec.t -> (unit, string) result
 (** [Error] (with a CLI-friendly message) when the spec's churn needs
     state-level corruption placement ([Target_cluster], [Dos_honest]);
@@ -116,7 +113,7 @@ val randnum_hist : t -> int array
     (length [randnum_range]) — E13's uniformity evidence. *)
 
 val labels : t -> (string * string) list
-(** See {!Driver.S.labels}. *)
+(** The monitor/trace labels fixed at creation. *)
 
 val label : t -> string
 (** See {!Driver.S.label}. *)

@@ -61,18 +61,6 @@ type driver =
   | Async of Async_driver.t
 (** A running driver of any engine, for generic stepping. *)
 
-val step : driver -> time:int -> unit
-(** Dispatch {!Driver.S.step}. *)
-
-val sample : driver -> time:int -> unit
-(** Dispatch {!Driver.S.sample}. *)
-
-val stats : driver -> Driver.Stats.t
-(** Dispatch {!Driver.S.stats}. *)
-
-val label : driver -> string
-(** Dispatch {!Driver.S.label}. *)
-
 val run_driver : ?steps:int -> Spec.t -> driver -> Driver.Stats.t
 (** Run the spec's loop on a driver: an optional time-0 sample
     ([sample_start]), then [steps] (default the spec's) steps sampling

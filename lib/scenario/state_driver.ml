@@ -68,7 +68,6 @@ let create_cell ~seed ~cell ?labels (spec : Spec.t) =
 
 let engine t = t.engine
 let ledger t = Engine.ledger t.engine
-let labels t = t.labels
 let label t = kind ^ ":" ^ t.spec.name
 
 let join t =

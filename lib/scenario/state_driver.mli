@@ -10,9 +10,6 @@
 
 type t
 
-val kind : string
-(** ["state"]. *)
-
 val initial_population :
   Prng.Rng.t -> n:int -> tau:float -> Now_core.Node.honesty list
 (** A [tau]-fraction-Byzantine shuffled population of [n] nodes — the
@@ -47,9 +44,6 @@ val join : t -> Now_core.Engine.op_report
 val leave : t -> Now_core.Engine.op_report
 (** Departure of a uniformly random node, tallied; returns the cost
     report. *)
-
-val labels : t -> (string * string) list
-(** See {!Driver.S.labels}. *)
 
 val label : t -> string
 (** See {!Driver.S.label}. *)

@@ -111,6 +111,8 @@ val with_span :
 (* ------------------------------------------------------------------ *)
 
 type buf
+(** One task's private event buffer, appended to its parent's in
+    submission order after a parallel join. *)
 
 val task_buf : unit -> buf
 (** A fresh empty task buffer (call only while a collector is active). *)
@@ -184,21 +186,18 @@ module Report : sig
 
   val of_dump : dump -> t
 
-  val table : t -> Metrics.Table.t
-  (** Per-primitive breakdown, sorted by self-messages (descending, then
-      name): spans, total and self messages/rounds, mean and p50/p95
-      span rounds.  When the dump was recorded under [~profile_alloc]
-      (some span carries a non-zero delta), two further columns report
-      total and self allocated bytes per primitive. *)
-
   val table_rows : t -> (string * int * int * int) list
-  (** [(name, spans, self_messages, self_rounds)] in {!table} order —
-      the machine-readable face of the breakdown. *)
+  (** [(name, spans, self_messages, self_rounds)] in {!render}'s table
+      order — the machine-readable face of the breakdown. *)
 
   val render : ?top:int -> t -> string
-  (** {!table} plus a round-latency histogram
-      ({!Metrics.Histogram.Samples.pp}) for the [top] primitives by
-      self-messages (default 3). *)
+  (** The per-primitive breakdown table, sorted by self-messages
+      (descending, then name): spans, total and self messages/rounds,
+      mean and p50/p95 span rounds.  When the dump was recorded under
+      [~profile_alloc] (some span carries a non-zero delta), two further
+      columns report total and self allocated bytes per primitive.  Then
+      a round-latency histogram ({!Metrics.Histogram.Samples.pp}) for
+      the [top] primitives by self-messages (default 3). *)
 end
 
 val profiled :

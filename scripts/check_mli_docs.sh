@@ -1,9 +1,5 @@
 #!/bin/sh
-# Doc-coverage lint for the public interfaces of lib/adversary, lib/apps,
-# lib/core,
-# lib/asim, lib/audit, lib/cluster, lib/monitor, lib/scenario and
-# lib/simkernel, plus lib/graph/graph.mli, lib/metrics/json.mli and
-# lib/metrics/histogram.mli:
+# Doc-coverage lint for every public interface, lib/*/*.mli:
 # every .mli must open with a module-level
 # (** ... *) header, and every top-level `val`/`type`/`exception` item
 # must carry an odoc comment — either ending within the three lines above
@@ -76,7 +72,7 @@ check_file() {
     esac
 }
 
-for f in lib/adversary/*.mli lib/core/*.mli lib/apps/*.mli lib/asim/*.mli lib/audit/*.mli lib/cluster/*.mli lib/monitor/*.mli lib/scenario/*.mli lib/simkernel/*.mli lib/graph/graph.mli lib/metrics/json.mli lib/metrics/histogram.mli; do
+for f in lib/*/*.mli; do
     check_file "$f"
 done
 
