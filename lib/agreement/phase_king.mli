@@ -9,8 +9,7 @@
 
     The paper's initialisation uses an off-the-shelf agreement ([19],
     King–Saia, resilience t < n/3 at ~O(n sqrt n) messages); Phase-King is
-    our executable stand-in (see DESIGN.md).  For committees needing
-    t < n/3 resilience use {!Eig}. *)
+    our executable stand-in (see DESIGN.md). *)
 
 type outcome = {
   decisions : (int * int) list;  (** (honest node id, decided value) *)

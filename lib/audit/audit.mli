@@ -43,8 +43,6 @@ val install : t -> unit
 val uninstall : unit -> t
 (** {!Recorder.uninstall}. *)
 
-(** {!Recorder.installed}. *)
-
 val recording : unit -> bool
 (** {!Recorder.recording}. *)
 

@@ -1,8 +1,9 @@
 (** Digest-stream serialisation: sorted JSONL out, and back in.
 
     One JSON object per frame, one per line, object keys in alphabetical
-    order ([digest], [labels], [step], [subsystem]), frames in
-    {!Recorder.compare_frame} order, closed by one
+    order ([digest], [labels], [step], [subsystem]), frames in the
+    canonical [(labels, step, subsystem, digest)] order of
+    {!Recorder.frames}, closed by one
     [{"format":1,"frames":N,"type":"meta"}] line — so the bytes are a
     pure function of the recorded frame set, byte-identical across
     [-j] values and reruns (CI-gated).  Label keys and values and

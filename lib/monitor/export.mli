@@ -9,7 +9,20 @@
     {!Metrics.Table.csv_escape}, the codecs every nowlib export shares. *)
 
 val jsonl_string : Store.t -> string
-(** {!to_jsonl} into a fresh string. *)
+(** One JSON object per line: every sample
+    ([{"labels":…,"series":…,"time":…,"type":…,"value":…}] with [type]
+    one of [gauge]/[counter]/[histogram]), then every violation
+    ([{"blame":[…],"bound":…,"detail":…,"invariant":…,"labels":…,
+    "observed":…,"time":…,"type":"violation"}] — [blame] is the causal
+    window from {!Blame}), then a trailing
+    [{"samples":…,"type":"meta","violations":…}] summary line.  Keys are
+    emitted alphabetically. *)
 
 val csv_string : Store.t -> string
-(** {!to_csv} into a fresh string. *)
+(** Flat CSV with header
+    [type,series,labels,time,value,bound,detail,blame]: samples first
+    (empty [bound]/[detail]/[blame]), then violations (series column
+    holds the invariant, value column the observed value, blame the
+    [|]-joined causal window).  Labels are joined as [k=v;k=v] with
+    [;]/[=]/[\] backslash-escaped inside keys and values; fields are
+    then quoted by {!Metrics.Table.csv_escape} when needed. *)

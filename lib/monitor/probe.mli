@@ -10,7 +10,9 @@
     this down: tables are byte-identical with monitoring on and off). *)
 
 val describe : string -> string option
-(** Description of a series from {!series}; [None] for unknown names
+(** Description of a series from the registry of every series the
+    probes can emit (the dashboard's card subtitles); [None] for unknown
+    names
     (e.g. dynamically named [byz.*] deviation counters). *)
 
 val sample_view :
