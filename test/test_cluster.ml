@@ -237,6 +237,8 @@ let test_rand_cl_proportional () =
   checkb (Printf.sprintf "larger cluster ~2/3 (%.2f)" frac) true
     (abs_float (frac -. (2.0 /. 3.0)) < 0.1)
 
+(* A node sample as the paper draws one: randCl, then randNum over the
+   chosen cluster. *)
 let test_pick_node_uniformish () =
   let cfg = build ~n_clusters:3 ~cluster_size:5 ~byz:0 () in
   let counts = Hashtbl.create 15 in
