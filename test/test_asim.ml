@@ -489,6 +489,60 @@ let test_async_golden () =
     "stat lines = golden" golden_summaries
     (List.map (fun (label, s) -> label ^ " " ^ Scenario.Stats.summary s) cells)
 
+(* ---------- the sessions' trace events under latency ----------
+
+   The asynchronous twin of test_cluster's session golden: every event one
+   randNum draw and one walk.token transfer emit under a net-detail
+   collector, on the same configuration (a [Silent] and a [Fixed] member
+   in cluster 0, an equivocating and a misrouting source in cluster 1),
+   under [straggler:every=4,factor=8], so nodes 0, 4, 12 and 20 send
+   slowly.  The escrows are stamped 0 and the reveals the phase boundary
+   4; the transfer's copies are stamped 0 inside a span at the clock 8.
+   Against test/golden/async_session_net_detail.jsonl, with the outcomes,
+   makespans, peaks and delay-stream cursor pinned alongside. *)
+
+let test_async_session_events_golden () =
+  let cfg = Test_cluster.session_config () in
+  let delay =
+    match Delay.of_name "straggler:every=4,factor=8" with
+    | Ok d -> d
+    | Error msg -> failwith msg
+  in
+  let s = Session.create ~rng:(Rng.of_int 8) ~delay cfg in
+  let ((o, draw_makespan), (res, transfer_makespan)), dump =
+    Trace.profiled ~net_detail:true (fun () ->
+        let draw = Session.randnum s ~cluster:0 ~range:100 in
+        let transfer =
+          Session.transmit s ~src_cluster:1 ~dst_cluster:2 ~label:"walk.token"
+            ~payload:7 ()
+        in
+        (draw, transfer))
+  in
+  let checkf = Alcotest.(check (float 0.0)) in
+  checki "nothing dropped" 0 dump.Trace.dropped;
+  checki "value" 88 o.Randnum.value;
+  checkb "secure" true o.Randnum.secure;
+  checkb "stalled" true o.Randnum.stalled;
+  checki "participants" 3 o.Randnum.participants;
+  checkf "draw makespan" 8.0 draw_makespan;
+  checkb "no destination decides" true
+    (res.Valchan.verdicts = [ (20, None); (21, None); (22, None) ]
+    && res.Valchan.unanimous = None);
+  checkf "transfer makespan" 8.0 transfer_makespan;
+  checkf "clock" 16.0 (Session.clock s);
+  checki "timeouts" 2 (Session.timeouts s);
+  checki "queue peak" 35 (Session.queue_peak s);
+  checki "in-flight peak" 35 (Session.inflight_peak s);
+  Alcotest.(check int64) "delay-stream cursor" 5868043997075344670L (Session.rng_cursor s);
+  Alcotest.(check (list (triple string int int)))
+    "charges"
+    [ ("randnum", 50, 0); ("walk.token", 12, 0) ]
+    (Metrics.Ledger.labels (Config.ledger cfg));
+  let golden =
+    In_channel.with_open_bin "golden/async_session_net_detail.jsonl" In_channel.input_all
+  in
+  checks "events = golden" golden (Trace.to_jsonl dump)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_queue_stable_order;
@@ -525,4 +579,6 @@ let suite =
       test_engine_of_name_async;
     Alcotest.test_case "straggler-delay async run matches the golden stream" `Quick
       test_async_golden;
+    Alcotest.test_case "async session trace events match the golden" `Quick
+      test_async_session_events_golden;
   ]

@@ -253,18 +253,28 @@ let test_state_golden () =
 
 (* ---------- per-label charges vs net-detail points ----------
 
-   Two steps of the primitives scenario on the message engine with
-   equivocating members, short enough that the collector drops nothing.
-   Every [net.send.<label>] point stands for one message charged under
-   [label], so each label's point count must equal its ledger messages,
-   and a net-detail run must charge exactly what a plain run charges. *)
+   Two steps of the primitives scenario on one cell of the message or the
+   asynchronous engine with equivocating members, short enough that the
+   collector drops nothing.  Every [net.send.<label>] point stands for one
+   message charged under [label], so each label's point count must equal
+   its ledger messages, and a net-detail run must charge exactly what a
+   plain run charges.  The asynchronous cell is [create_cell ~seed:5
+   ~cell:0], built in the open so the test can read its ledger. *)
 
-let test_msg_charges_match_net_points () =
+let test_charges_match_net_points engine () =
   let spec = { Scenario.primitives with Spec.behavior = Some "equivocate" } in
   let run () =
-    let d = Scenario.Msg_driver.create_cell ~seed:5 ~cell:0 spec in
-    ignore (Scenario.run_driver ~steps:2 spec (Scenario.Msg d));
-    Scenario.Msg_driver.ledger d
+    match engine with
+    | `Msg ->
+      let d = Scenario.Msg_driver.create_cell ~seed:5 ~cell:0 spec in
+      ignore (Scenario.run_driver ~steps:2 spec (Scenario.Msg d));
+      Scenario.Msg_driver.ledger d
+    | `Async ->
+      let rng = Rng.of_int (5 + 701) in
+      let cfg = Scenario.Msg_driver.build ~rng spec in
+      let d = Scenario.Async_driver.of_config ~rng spec cfg in
+      ignore (Scenario.run_driver ~steps:2 spec (Scenario.Async d));
+      Cluster.Config.ledger cfg
   in
   let ledger, dump = Trace.profiled ~net_detail:true run in
   checki "nothing dropped" 0 dump.Trace.dropped;
@@ -317,5 +327,7 @@ let suite =
     Alcotest.test_case "steady state-engine run matches the golden stream" `Quick
       test_state_golden;
     Alcotest.test_case "msg run charges each label its net.send points" `Quick
-      test_msg_charges_match_net_points;
+      (test_charges_match_net_points `Msg);
+    Alcotest.test_case "async run charges each label its net.send points" `Quick
+      (test_charges_match_net_points `Async);
   ]
