@@ -44,6 +44,17 @@ let rand_cl_session l ?duration ?(max_restarts = 1000) ?(max_hop_retries = 2) cf
   let overlay = Config.overlay cfg in
   let duration = match duration with Some d -> d | None -> default_duration cfg in
   let max_size = float_of_int (Config.max_cluster_size cfg) in
+  (* An insecure draw reads 0, so a walk whose draws are all insecure
+     holds for a negative time at every hop: [remaining] grows instead of
+     running out, and a walk whose members forward the token honestly
+     would never end.  Its hops, counted across restarts, are therefore
+     capped at [max_restarts + 1] segments of the hops one segment
+     expects (the walk fires at the mean degree's rate for [duration]);
+     past that cap it ends as if its restarts had run out. *)
+  let hop_budget =
+    let per_segment = Float.ceil (duration *. Graph.mean_degree overlay) in
+    (max_restarts + 1) * max 1 (int_of_float per_segment)
+  in
   (* The walk's makespan: the sum of its draws' and transfers' makespans,
      in the order they ran. *)
   let elapsed = ref 0.0 in
@@ -89,7 +100,9 @@ let rand_cl_session l ?duration ?(max_restarts = 1000) ?(max_hop_retries = 2) cf
         in
         elapsed := !elapsed +. makespan;
         match res.Valchan.unanimous with
-        | Some _ -> hop next (remaining -. hold) (hops + 1) restarts retries
+        | Some _ ->
+          if hops >= hop_budget then Error `Too_many_restarts
+          else hop next (remaining -. hold) (hops + 1) restarts retries
         | None ->
           if retries >= max_hop_retries then raise (Invalid current)
           else begin

@@ -23,7 +23,11 @@ type error =
     (** a traversed cluster failed to validate the token, even after hop
         retries — only possible when some cluster lost its honest
         majority; carries the blamed cluster *)
-  | `Too_many_restarts  (** the endpoint-acceptance coin never landed *) ]
+  | `Too_many_restarts
+    (** the endpoint-acceptance coin never landed, or the walk's hops,
+        counted across restarts, passed [max_restarts + 1] times the hops
+        one segment expects — only possible when the draws are insecure
+        and so always read 0 *) ]
 
 type stats = {
   selected : int;  (** the chosen cluster *)

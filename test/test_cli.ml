@@ -118,6 +118,16 @@ let test_exec_stats_switches () =
           "monitor state --exec-stats --steps 1 --cells 1";
         ])
 
+(* Walks through clusters whose draws are insecure end at the walk's hop
+   budget; the command used to run forever.  [timeout] turns a hang back
+   into a failure. *)
+let test_byz_insecure_walks_end () =
+  in_temp_dir (fun dir ->
+      let args =
+        Filename.quote now_sim ^ " byz --behavior bias-share --byz-tau 0.7 --trials 3"
+      in
+      checki args 0 (fst (run dir "timeout" ("60 " ^ args))))
+
 (* Two runs append two history lines; the summary compares clean against
    itself and the history renders a chart. *)
 let test_bench_records_round_trip () =
@@ -170,4 +180,6 @@ let suite =
       Alcotest.test_case "bench records round trip" `Slow
         test_bench_records_round_trip;
       Alcotest.test_case "dashboard documents pinned" `Quick test_dashboards_pinned;
+      Alcotest.test_case "byz walks over insecure draws end" `Quick
+        test_byz_insecure_walks_end;
     ]

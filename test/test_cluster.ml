@@ -256,6 +256,22 @@ let test_pick_node_uniformish () =
     (fun _ c -> checkb "roughly uniform" true (abs (c - 80) < 45))
     counts
 
+(* Four of six members biasing their shares make every draw insecure
+   (3 * 4 >= 2 * 6), and an insecure draw reads 0: each hop then holds
+   for a negative time, so the remaining duration grows instead of
+   running out.  The corrupted members forward the token honestly, so
+   only the hop budget ends the walk. *)
+let test_rand_cl_insecure_draws_end () =
+  let cfg =
+    Config.build_uniform ~rng:(Rng.of_int 3)
+      ~behavior:(fun node -> B.Bias_share node)
+      ~n_clusters:6 ~cluster_size:6 ~byz_per_cluster:4 ~overlay_degree:3 ()
+  in
+  match Walk.rand_cl cfg ~start:0 with
+  | Error `Too_many_restarts -> ()
+  | Error (`Validation_failed c) -> Alcotest.failf "cluster %d blamed" c
+  | Ok _ -> Alcotest.fail "a walk over insecure draws completed"
+
 let test_walk_validation_failure () =
   (* A byzantine-majority cluster on the only path: the token cannot be
      validated, the walk reports which cluster broke. *)
@@ -360,6 +376,8 @@ let suite =
     Alcotest.test_case "rand_cl proportional" `Quick test_rand_cl_proportional;
     Alcotest.test_case "pick_node uniform-ish" `Quick test_pick_node_uniformish;
     Alcotest.test_case "walk validation failure" `Quick test_walk_validation_failure;
+    Alcotest.test_case "rand_cl over insecure draws ends" `Quick
+      test_rand_cl_insecure_draws_end;
     Alcotest.test_case "exchange preserves sizes" `Quick test_exchange_node_preserves_sizes;
     Alcotest.test_case "exchange_all touches" `Quick test_exchange_all_touches;
     Alcotest.test_case "exchange_all charges views" `Quick test_exchange_all_charges_views;
