@@ -6,41 +6,40 @@ module Exchange = Cluster.Exchange
 module Rng = Prng.Rng
 module Buckets = Metrics.Histogram.Buckets
 
-(* randNum's two phases, int-coded so both primitives share one kernel. *)
-let escrow = 0
-let reveal = 1
-
 type t = {
   cfg : Config.t;
   delay : Delay.t;
   rng : Rng.t;
   patience : float;
-  (* The session's one kernel, reset at the start of every sub-session. *)
-  net : int Anet.t;
-  (* Sender id -> its position in the current sub-session's sender list;
-     the tallies below are indexed by position. *)
-  pos : (int, int) Hashtbl.t;
   (* randNum: arrival time of contributor [i]'s escrow / reveal at member
-     [j], at [i * n + j]; [infinity] until it arrives. *)
+     [j], at [i * n + j]; [infinity] unless it arrives by the deadline.
+     [ids] holds the members by position; [contributor] the positions
+     that escrow, in member order, and [at_boundary] how many of each
+     one's escrows arrive exactly at the phase boundary. *)
   mutable escrow_at : float array;
   mutable reveal_at : float array;
-  (* valChan: one first-vote tally per honest destination [d] over the
-     [n] source members — [voted.(d * n + s)] per source, the distinct
-     values and their counts at [d * n + 0 .. d * n + n_values.(d) - 1],
-     and the time and value of the first strict majority ([infinity]
-     while there is none). *)
-  mutable voted : bool array;
+  mutable ids : int array;
+  mutable contributor : int array;
+  mutable at_boundary : int array;
+  (* valChan: the destinations by position and whether each is honest;
+     per destination [d] and source position [s], at [d * n + s], the
+     arrival and value of the copy from [s] that [d] receives first by the
+     deadline ([infinity] while none has); and one destination's tally:
+     its voting sources in delivery order, the distinct values and their
+     counts. *)
+  mutable dsts : int array;
+  mutable honest : bool array;
+  mutable vote_at : float array;
+  mutable vote_value : int array;
+  mutable order : int array;
   mutable values : int array;
   mutable counts : int array;
-  mutable n_values : int array;
-  mutable decided_at : float array;
-  mutable verdict : int array;
   mutable clock : float;
   mutable timeouts : int;
   (* Telemetry: per-primitive-label makespan histograms and timeout
-     tallies, plus kernel queue peaks folded in after each sub-session.
-     All of it is a pure function of the session's event streams, so the
-     monitor may export it under the byte-identity gates. *)
+     tallies, plus the queue peaks of each sub-session.  All of it is a
+     pure function of the session's draws, so the monitor may export it
+     under the byte-identity gates. *)
   lat : (string, Buckets.t) Hashtbl.t;
   lat_timeouts : (string, int) Hashtbl.t;
   mutable queue_peak : int;
@@ -54,16 +53,18 @@ let create ?(patience = 8.0) ~rng ~delay cfg =
     delay;
     rng;
     patience;
-    net = Anet.create ~ledger:(Config.ledger cfg) ~rng ~delay ();
-    pos = Hashtbl.create 64;
     escrow_at = [||];
     reveal_at = [||];
-    voted = [||];
+    ids = [||];
+    contributor = [||];
+    at_boundary = [||];
+    dsts = [||];
+    honest = [||];
+    vote_at = [||];
+    vote_value = [||];
+    order = [||];
     values = [||];
     counts = [||];
-    n_values = [||];
-    decided_at = [||];
-    verdict = [||];
     clock = 0.0;
     timeouts = 0;
     lat = Hashtbl.create 8;
@@ -99,19 +100,10 @@ let account t ~label ~makespan ~timed_out =
     Hashtbl.replace t.lat_timeouts label (c + 1)
   end
 
-(* Start a sub-session on the session's kernel, with [members] as its
-   indexed senders. *)
-let start t members =
-  Anet.reset t.net;
-  Hashtbl.clear t.pos;
-  List.iteri (fun i id -> Hashtbl.replace t.pos id i) members;
-  t.net
-
-(* Fold a finished sub-session's kernel queue peaks into the session. *)
-let absorb_net t =
-  if Anet.queue_peak t.net > t.queue_peak then t.queue_peak <- Anet.queue_peak t.net;
-  if Anet.inflight_peak t.net > t.inflight_peak then
-    t.inflight_peak <- Anet.inflight_peak t.net
+(* Fold a sub-session's queue peaks into the session's. *)
+let note_peaks t ~queue ~inflight =
+  if queue > t.queue_peak then t.queue_peak <- queue;
+  if inflight > t.inflight_peak then t.inflight_peak <- inflight
 
 (* [a] if it holds [len] cells, else a larger array: tallies grow to the
    largest sub-session seen and are then reused. *)
@@ -144,6 +136,16 @@ let span_time t = int_of_float t.clock
 
 (* valChan ---------------------------------------------------------- *)
 
+(* The net-detail points of one copy, as the reference kernel emits them:
+   [net.byz.<label>] first when the copy deviates, then
+   [net.send.<label>], stamped with the send time. *)
+let trace_copy ~time ~src ~dst ~label ~deviant =
+  let point kind =
+    Trace.point ~attrs:[ ("dst", dst); ("src", src) ] ~time Trace.Net (kind ^ label)
+  in
+  if deviant then point "net.byz.";
+  point "net.send."
+
 (* The asynchronous validated channel: every source member's copies leave
    at virtual time 0 with per-link delays; each honest destination applies
    the majority rule to the votes that arrived by the session deadline.
@@ -153,90 +155,139 @@ let span_time t = int_of_float t.clock
    votes, never add them, so skew degrades liveness (no verdict by the
    deadline), never safety.
 
-   Each honest destination tallies first votes as they arrive and stops
-   at the first value to clear a strict majority: one vote per member
-   means no other value can clear it later, so that value is the verdict
-   [Valchan.validate] would give over the full on-time inbox, and its
-   arrival is the destination's decision time. *)
-let vote t ~n ~threshold ~d ~src value =
-  if t.decided_at.(d) = infinity then
-    match Hashtbl.find t.pos src with
-    | exception Not_found -> ()
-    | s ->
-      let base = d * n in
-      if not t.voted.(base + s) then begin
-        t.voted.(base + s) <- true;
-        let m = t.n_values.(d) in
-        let k = ref 0 in
-        while !k < m && t.values.(base + !k) <> value do
-          incr k
-        done;
-        if !k = m then begin
-          t.values.(base + m) <- value;
-          t.counts.(base + m) <- 0;
-          t.n_values.(d) <- m + 1
-        end;
-        let c = t.counts.(base + !k) + 1 in
-        t.counts.(base + !k) <- c;
-        if c > threshold then begin
-          t.decided_at.(d) <- Anet.now t.net;
-          t.verdict.(d) <- value
-        end
-      end
-
+   No delivery sends anything, so no event queue runs: each copy's
+   arrival is one delay draw, drawn in the kernel's send order (sources
+   in member order, then destinations), and each honest destination
+   tallies its sources' first copies in the order a [(time, seq)] queue
+   would deliver them: by arrival, ties in send order, which is source
+   order.  The tally stops at the first value to clear a strict majority:
+   one vote per member means no other value can clear it later, so that
+   value is the verdict [Valchan.validate] would give over the full
+   on-time inbox, and its arrival is the destination's decision time. *)
 let valchan_session t ~src_cluster ~dst_cluster ~label ~payload =
   let cfg = t.cfg in
   let src_members = Config.members cfg src_cluster in
   let dst_members = Config.members cfg dst_cluster in
-  let n = List.length src_members and n_dst = List.length dst_members in
+  let n = List.length src_members and m = List.length dst_members in
   let threshold = n / 2 in
   let deadline = timeout t in
-  let net = start t src_members in
-  t.voted <- fit t.voted (n_dst * n) false;
-  t.values <- fit t.values (n_dst * n) 0;
-  t.counts <- fit t.counts (n_dst * n) 0;
-  t.n_values <- fit t.n_values n_dst 0;
-  t.decided_at <- fit t.decided_at n_dst infinity;
-  t.verdict <- fit t.verdict n_dst 0;
-  Array.fill t.voted 0 (n_dst * n) false;
-  Array.fill t.n_values 0 n_dst 0;
-  Array.fill t.decided_at 0 n_dst infinity;
+  t.dsts <- fit t.dsts m 0;
+  t.honest <- fit t.honest m false;
+  t.vote_at <- fit t.vote_at (m * n) infinity;
+  t.vote_value <- fit t.vote_value (m * n) 0;
+  t.order <- fit t.order n 0;
+  t.values <- fit t.values n 0;
+  t.counts <- fit t.counts n 0;
+  let dsts = t.dsts and honest = t.honest in
+  let vote_at = t.vote_at and vote_value = t.vote_value in
   List.iteri
     (fun d id ->
-      if Config.is_byzantine cfg id then Anet.add_node net ~id (fun ~src:_ _ -> ())
-      else Anet.add_node net ~id (fun ~src value -> vote t ~n ~threshold ~d ~src value))
+      dsts.(d) <- id;
+      honest.(d) <- not (Config.is_byzantine cfg id))
     dst_members;
-  List.iter
-    (fun id ->
-      if not (Anet.is_alive net id) then Anet.add_node net ~id (fun ~src:_ _ -> ()))
-    src_members;
-  (* Same (source member, destination member) send order as the
-     synchronous session, so Byzantine behaviour streams draw
-     identically. *)
-  List.iter
-    (fun id ->
-      match Config.byzantine cfg id with
-      | None -> Anet.multicast net ~src:id ~dsts:dst_members ~label payload
+  Array.fill vote_at 0 (m * n) infinity;
+  let sent = ref 0 and detail = Trace.net_detail () in
+  (* One copy from source position [s] to [dst], which sits at position
+     [d] among the destinations ([-1] outside them): draw its delay, and
+     keep it if it reaches an honest destination by the deadline strictly
+     before every earlier copy from [s] — the copy a queue delivers
+     first. *)
+  let copy ~s ~src ~dst ~d ~deviant value =
+    incr sent;
+    let at = 0.0 +. Delay.sample t.delay t.rng ~src ~dst in
+    if detail then trace_copy ~time:0 ~src ~dst ~label ~deviant;
+    if d >= 0 && honest.(d) && at <= deadline then begin
+      let k = (d * n) + s in
+      if at < vote_at.(k) then begin
+        vote_at.(k) <- at;
+        vote_value.(k) <- value
+      end
+    end
+  in
+  (* [dst]'s position among the sorted destinations, [-1] for a redirect
+     sink outside them. *)
+  let rec position dst lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      if dsts.(mid) = dst then mid
+      else if dsts.(mid) < dst then position dst (mid + 1) hi
+      else position dst lo mid
+  in
+  List.iteri
+    (fun s src ->
+      match Config.byzantine cfg src with
+      | None ->
+        for d = 0 to m - 1 do
+          copy ~s ~src ~dst:dsts.(d) ~d ~deviant:false payload
+        done
       | Some strategy ->
-        Valchan.corrupted_sends strategy ~src:id ~dsts:dst_members ~label ~payload
-          (fun ~dst ~deviant v -> Anet.send net ~src:id ~dst ~label ~deviant v))
+        Valchan.corrupted_sends strategy ~src ~dsts:dst_members ~label ~payload
+          (fun ~dst ~deviant v -> copy ~s ~src ~dst ~d:(position dst 0 m) ~deviant v))
     src_members;
-  Anet.run ~until:deadline net;
+  if !sent > 0 then
+    Metrics.Ledger.charge (Config.ledger cfg) ~label ~messages:!sent ~rounds:0;
+  (* Every copy is queued before the first delivery. *)
+  note_peaks t ~queue:!sent ~inflight:!sent;
+  let order = t.order and values = t.values and counts = t.counts in
+  (* Destination [d]'s first-vote tally: its voting sources sorted by
+     arrival (an insertion sort that moves only strictly later arrivals,
+     so ties stay in source order), then counted until a value clears a
+     strict majority.  Returns that vote's cell, or [-1]. *)
+  let decide d =
+    let base = d * n and len = ref 0 in
+    for s = 0 to n - 1 do
+      let at = vote_at.(base + s) in
+      if at < infinity then begin
+        let p = ref !len in
+        while !p > 0 && vote_at.(base + order.(!p - 1)) > at do
+          order.(!p) <- order.(!p - 1);
+          decr p
+        done;
+        order.(!p) <- s;
+        incr len
+      end
+    done;
+    let n_values = ref 0 and decided = ref (-1) and i = ref 0 in
+    while !decided < 0 && !i < !len do
+      let k = base + order.(!i) in
+      let value = vote_value.(k) in
+      let v = ref 0 in
+      while !v < !n_values && values.(!v) <> value do
+        incr v
+      done;
+      if !v = !n_values then begin
+        values.(!v) <- value;
+        counts.(!v) <- 0;
+        incr n_values
+      end;
+      counts.(!v) <- counts.(!v) + 1;
+      if counts.(!v) > threshold then decided := k;
+      incr i
+    done;
+    !decided
+  in
   (* Per honest destination: its verdict, and the time it reached a
      majority (the deadline when it never did). *)
   let timed_out = ref false and makespan = ref 0.0 and verdicts = ref [] in
-  List.iteri
-    (fun d id ->
-      if not (Config.is_byzantine cfg id) then begin
-        let at = t.decided_at.(d) in
-        let decided = at < infinity in
-        if not decided then timed_out := true;
-        makespan := Float.max !makespan (if decided then at else deadline);
-        verdicts := (id, if decided then Some t.verdict.(d) else None) :: !verdicts
-      end)
-    dst_members;
+  for d = 0 to m - 1 do
+    if honest.(d) then begin
+      let k = decide d in
+      let verdict =
+        if k < 0 then begin
+          timed_out := true;
+          makespan := Float.max !makespan deadline;
+          None
+        end
+        else begin
+          makespan := Float.max !makespan vote_at.(k);
+          Some vote_value.(k)
+        end
+      in
+      verdicts := (dsts.(d), verdict) :: !verdicts
+    end
+  done;
   let result = Valchan.summarise (List.rev !verdicts) in
-  absorb_net t;
   account t ~label ~makespan:!makespan ~timed_out:!timed_out;
   (result, !makespan)
 
@@ -256,7 +307,13 @@ let transmit t ~src_cluster ~dst_cluster ?(label = "valchan") ~payload () =
    escrow by the boundary and its reveal by the deadline — the in-cluster
    majority's view of "who participated", which late (straggling) shares
    fail, turning skew into a detected stall instead of a silent
-   mis-sample. *)
+   mis-sample.
+
+   No delivery sends anything, so no event queue runs: escrows leave at 0
+   and reveals at the boundary, each arriving one delay draw later.  The
+   draws follow the kernel's order: contributions and escrows interleaved
+   in member order, then the reveals in contributor order, the order in
+   which the boundary timers fire. *)
 let randnum_session t ~cluster ~range =
   let cfg = t.cfg in
   let members = Config.members cfg cluster in
@@ -264,34 +321,70 @@ let randnum_session t ~cluster ~range =
   let secure = Randnum.secure cfg members in
   let deadline = timeout t in
   let boundary = 0.5 *. deadline in
-  let net = start t members in
   t.escrow_at <- fit t.escrow_at (n * n) infinity;
   t.reveal_at <- fit t.reveal_at (n * n) infinity;
-  let escrow_at = t.escrow_at and reveal_at = t.reveal_at in
+  t.ids <- fit t.ids n 0;
+  t.contributor <- fit t.contributor n 0;
+  t.at_boundary <- fit t.at_boundary n 0;
+  let escrow_at = t.escrow_at and reveal_at = t.reveal_at and ids = t.ids in
   Array.fill escrow_at 0 (n * n) infinity;
   Array.fill reveal_at 0 (n * n) infinity;
+  List.iteri (fun j id -> ids.(j) <- id) members;
+  let ledger = Config.ledger cfg and detail = Trace.net_detail () in
+  (* Contributor [i]'s share to every other member, sent at [time]: each
+     copy that arrives by the deadline lands in [tbl]. *)
+  let multicast tbl ~time i =
+    let src = ids.(i) in
+    for j = 0 to n - 1 do
+      if j <> i then begin
+        let dst = ids.(j) in
+        let at = time +. Delay.sample t.delay t.rng ~src ~dst in
+        if detail then
+          trace_copy ~time:(int_of_float time) ~src ~dst ~label:"randnum" ~deviant:false;
+        if at <= deadline then tbl.((i * n) + j) <- at
+      end
+    done;
+    if n > 1 then Metrics.Ledger.charge ledger ~label:"randnum" ~messages:(n - 1) ~rounds:0
+  in
   (* Contributions are drawn in member order, exactly like the synchronous
      session — same Config/behaviour stream consumption. *)
-  let contributions : (int * int) list ref = ref [] in
+  let contributions = ref [] and c = ref 0 in
   List.iteri
-    (fun j id ->
-      let contribution = Randnum.contribution cfg id in
-      Anet.add_node net ~id (fun ~src phase ->
-          match Hashtbl.find t.pos src with
-          | exception Not_found -> ()
-          | i ->
-            let tbl = if phase = escrow then escrow_at else reveal_at in
-            let k = (i * n) + j in
-            if tbl.(k) = infinity then tbl.(k) <- Anet.now net);
-      match contribution with
+    (fun i id ->
+      match Randnum.contribution cfg id with
       | None -> ()
-      | Some c ->
-        contributions := (id, c) :: !contributions;
-        Anet.multicast net ~src:id ~dsts:members ~except:id ~label:"randnum" escrow;
-        Anet.at net ~time:boundary (fun () ->
-            Anet.multicast net ~src:id ~dsts:members ~except:id ~label:"randnum" reveal))
+      | Some share ->
+        contributions := (i, (id, share)) :: !contributions;
+        t.contributor.(!c) <- i;
+        incr c;
+        multicast escrow_at ~time:0.0 i)
     members;
-  Anet.run ~until:deadline net;
+  let c = !c in
+  (* The queue peaks of the [(time, seq)] kernel this replaces.  Set-up
+     queues [c * n] events: [c * (n - 1)] escrows and [c] boundary timers.
+     Before the k-th timer fires, E_k escrows have been delivered: those
+     arriving before the boundary, plus those arriving exactly at it from
+     the first k contributors, which were queued before that timer.  Its
+     reveals then leave [c * n - E_k - k + k * (n - 1)] events queued,
+     [c * (n - 1) - E_k + k * (n - 1)] of them messages in flight. *)
+  let early = ref 0 in
+  for k = 0 to c - 1 do
+    let i = t.contributor.(k) in
+    let exact = ref 0 in
+    for j = i * n to ((i + 1) * n) - 1 do
+      let at = escrow_at.(j) in
+      if at < boundary then incr early else if at = boundary then incr exact
+    done;
+    t.at_boundary.(k) <- !exact
+  done;
+  let queue = ref (c * n) and inflight = ref (c * (n - 1)) and delivered = ref !early in
+  for k = 1 to c do
+    multicast reveal_at ~time:boundary t.contributor.(k - 1);
+    delivered := !delivered + t.at_boundary.(k - 1);
+    queue := max !queue ((c * n) - !delivered - k + (k * (n - 1)));
+    inflight := max !inflight ((c * (n - 1)) - !delivered + (k * (n - 1)))
+  done;
+  note_peaks t ~queue:!queue ~inflight:!inflight;
   (* A share is reconstructible iff a strict majority of the members holds
      both halves on time (the contributor itself counts for its own
      share: it never sends to itself, so its own cell stays [infinity]). *)
@@ -304,17 +397,15 @@ let randnum_session t ~cluster ~range =
   in
   let included =
     List.filter
-      (fun (id, _) ->
-        let i = Hashtbl.find t.pos id in
+      (fun (i, _) ->
         2 * on_time escrow_at ~contributor:i ~limit:boundary > n
         && 2 * on_time reveal_at ~contributor:i ~limit:deadline > n)
       !contributions
   in
-  let outcome = Randnum.conclude ~secure ~n ~range included in
+  let outcome = Randnum.conclude ~secure ~n ~range (List.map snd included) in
   (* The last on-time reveal of an included contribution (arrival times
      are never negative or NaN, so [>] is [Float.max]). *)
-  let last_reveal acc (id, _) =
-    let i = Hashtbl.find t.pos id in
+  let last_reveal acc (i, _) =
     let last = ref acc in
     for k = i * n to ((i + 1) * n) - 1 do
       let at = reveal_at.(k) in
@@ -326,7 +417,6 @@ let randnum_session t ~cluster ~range =
   let makespan =
     if stalled then deadline else List.fold_left last_reveal 0.0 included
   in
-  absorb_net t;
   account t ~label:"randnum" ~makespan ~timed_out:stalled;
   (outcome, makespan)
 

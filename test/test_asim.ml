@@ -543,6 +543,400 @@ let test_async_session_events_golden () =
   in
   checks "events = golden" golden (Trace.to_jsonl dump)
 
+(* ---------- the sessions vs their event-queue oracle ----------
+
+   valChan and randNum as they ran on the [(time, seq)] kernel before the
+   sessions computed each copy's arrival directly: every copy is a queued
+   event delivered to a handler, and randNum's reveals leave from timers
+   at the phase boundary.  Kept, with the session bookkeeping the
+   comparison reads, as the oracle the sessions are checked against. *)
+
+module Queue_session = struct
+  module Anet = Asim.Anet
+  module Buckets = Metrics.Histogram.Buckets
+
+  let escrow = 0
+  let reveal = 1
+
+  type t = {
+    cfg : Config.t;
+    patience : float;
+    delay : Delay.t;
+    rng : Rng.t;
+    net : int Anet.t;
+    pos : (int, int) Hashtbl.t;
+    mutable clock : float;
+    mutable timeouts : int;
+    lat : Buckets.t;
+    mutable queue_peak : int;
+    mutable inflight_peak : int;
+  }
+
+  let create ~patience ~rng ~delay cfg =
+    {
+      cfg;
+      patience;
+      delay;
+      rng;
+      net = Anet.create ~ledger:(Config.ledger cfg) ~rng ~delay ();
+      pos = Hashtbl.create 64;
+      clock = 0.0;
+      timeouts = 0;
+      lat = Buckets.create ();
+      queue_peak = 0;
+      inflight_peak = 0;
+    }
+
+  let timeout t = t.patience *. Delay.mean t.delay
+
+  let account t ~makespan ~timed_out =
+    t.clock <- t.clock +. makespan;
+    Buckets.add t.lat makespan;
+    if timed_out then t.timeouts <- t.timeouts + 1
+
+  let start t members =
+    Anet.reset t.net;
+    Hashtbl.clear t.pos;
+    List.iteri (fun i id -> Hashtbl.replace t.pos id i) members;
+    t.net
+
+  let absorb_net t =
+    t.queue_peak <- max t.queue_peak (Anet.queue_peak t.net);
+    t.inflight_peak <- max t.inflight_peak (Anet.inflight_peak t.net)
+
+  let valchan_session t ~src_cluster ~dst_cluster ~label ~payload =
+    let cfg = t.cfg in
+    let src_members = Config.members cfg src_cluster in
+    let dst_members = Config.members cfg dst_cluster in
+    let n = List.length src_members and n_dst = List.length dst_members in
+    let threshold = n / 2 in
+    let deadline = timeout t in
+    let net = start t src_members in
+    let voted = Array.make (n_dst * n) false in
+    let values = Array.make (n_dst * n) 0 and counts = Array.make (n_dst * n) 0 in
+    let n_values = Array.make n_dst 0 in
+    let decided_at = Array.make n_dst infinity and verdict = Array.make n_dst 0 in
+    let vote ~d ~src value =
+      if decided_at.(d) = infinity then
+        match Hashtbl.find t.pos src with
+        | exception Not_found -> ()
+        | s ->
+          let base = d * n in
+          if not voted.(base + s) then begin
+            voted.(base + s) <- true;
+            let m = n_values.(d) in
+            let k = ref 0 in
+            while !k < m && values.(base + !k) <> value do
+              incr k
+            done;
+            if !k = m then begin
+              values.(base + m) <- value;
+              counts.(base + m) <- 0;
+              n_values.(d) <- m + 1
+            end;
+            let c = counts.(base + !k) + 1 in
+            counts.(base + !k) <- c;
+            if c > threshold then begin
+              decided_at.(d) <- Anet.now net;
+              verdict.(d) <- value
+            end
+          end
+    in
+    List.iteri
+      (fun d id ->
+        if Config.is_byzantine cfg id then Anet.add_node net ~id (fun ~src:_ _ -> ())
+        else Anet.add_node net ~id (fun ~src value -> vote ~d ~src value))
+      dst_members;
+    List.iter
+      (fun id ->
+        if not (Anet.is_alive net id) then Anet.add_node net ~id (fun ~src:_ _ -> ()))
+      src_members;
+    List.iter
+      (fun id ->
+        match Config.byzantine cfg id with
+        | None -> Anet.multicast net ~src:id ~dsts:dst_members ~label payload
+        | Some strategy ->
+          Valchan.corrupted_sends strategy ~src:id ~dsts:dst_members ~label ~payload
+            (fun ~dst ~deviant v -> Anet.send net ~src:id ~dst ~label ~deviant v))
+      src_members;
+    Anet.run ~until:deadline net;
+    let timed_out = ref false and makespan = ref 0.0 and verdicts = ref [] in
+    List.iteri
+      (fun d id ->
+        if not (Config.is_byzantine cfg id) then begin
+          let at = decided_at.(d) in
+          let decided = at < infinity in
+          if not decided then timed_out := true;
+          makespan := Float.max !makespan (if decided then at else deadline);
+          verdicts := (id, if decided then Some verdict.(d) else None) :: !verdicts
+        end)
+      dst_members;
+    let result = Valchan.summarise (List.rev !verdicts) in
+    absorb_net t;
+    account t ~makespan:!makespan ~timed_out:!timed_out;
+    (result, !makespan)
+
+  let transmit t ~src_cluster ~dst_cluster ~label ~payload =
+    Trace.with_span
+      ~attrs:[ ("dst", dst_cluster); ("src", src_cluster) ]
+      ~ledger:(Config.ledger t.cfg) ~time:(int_of_float t.clock) Trace.Msg label
+      (fun () -> valchan_session t ~src_cluster ~dst_cluster ~label ~payload)
+
+  let randnum_session t ~cluster ~range =
+    let cfg = t.cfg in
+    let members = Config.members cfg cluster in
+    let n = List.length members in
+    let secure = Randnum.secure cfg members in
+    let deadline = timeout t in
+    let boundary = 0.5 *. deadline in
+    let net = start t members in
+    let escrow_at = Array.make (n * n) infinity in
+    let reveal_at = Array.make (n * n) infinity in
+    let contributions = ref [] in
+    List.iteri
+      (fun j id ->
+        let contribution = Randnum.contribution cfg id in
+        Anet.add_node net ~id (fun ~src phase ->
+            match Hashtbl.find t.pos src with
+            | exception Not_found -> ()
+            | i ->
+              let tbl = if phase = escrow then escrow_at else reveal_at in
+              let k = (i * n) + j in
+              if tbl.(k) = infinity then tbl.(k) <- Anet.now net);
+        match contribution with
+        | None -> ()
+        | Some c ->
+          contributions := (id, c) :: !contributions;
+          Anet.multicast net ~src:id ~dsts:members ~except:id ~label:"randnum" escrow;
+          Anet.at net ~time:boundary (fun () ->
+              Anet.multicast net ~src:id ~dsts:members ~except:id ~label:"randnum"
+                reveal))
+      members;
+    Anet.run ~until:deadline net;
+    let on_time (tbl : float array) ~contributor ~(limit : float) =
+      let held = ref 1 in
+      for k = contributor * n to ((contributor + 1) * n) - 1 do
+        if tbl.(k) <= limit then incr held
+      done;
+      !held
+    in
+    let included =
+      List.filter
+        (fun (id, _) ->
+          let i = Hashtbl.find t.pos id in
+          2 * on_time escrow_at ~contributor:i ~limit:boundary > n
+          && 2 * on_time reveal_at ~contributor:i ~limit:deadline > n)
+        !contributions
+    in
+    let outcome = Randnum.conclude ~secure ~n ~range included in
+    let last_reveal acc (id, _) =
+      let i = Hashtbl.find t.pos id in
+      let last = ref acc in
+      for k = i * n to ((i + 1) * n) - 1 do
+        let at = reveal_at.(k) in
+        if at <= deadline && at > !last then last := at
+      done;
+      !last
+    in
+    let stalled = outcome.Randnum.stalled in
+    let makespan =
+      if stalled then deadline else List.fold_left last_reveal 0.0 included
+    in
+    absorb_net t;
+    account t ~makespan ~timed_out:stalled;
+    (outcome, makespan)
+
+  let randnum t ~cluster ~range =
+    let n = List.length (Config.members t.cfg cluster) in
+    Trace.with_span
+      ~attrs:[ ("cluster", cluster); ("size", n) ]
+      ~ledger:(Config.ledger t.cfg) ~time:(int_of_float t.clock) Trace.Msg "randnum"
+      (fun () -> randnum_session t ~cluster ~range)
+
+  let leaves t =
+    {
+      Walk.randnum = (fun ~cluster ~range -> randnum t ~cluster ~range);
+      transmit = transmit t;
+      bulk_rounds = 0;
+      span_time = (fun () -> int_of_float t.clock);
+    }
+
+  let latency_p99 t =
+    if Buckets.count t.lat = 0 then 0.0 else Buckets.percentile t.lat 99.0
+end
+
+(* One call of a property case; both engines run the same list. *)
+type call =
+  | Transmit of { src : int; dst : int; walk : bool }
+  | Draw of { cluster : int; range : int }
+  | Rand_cl of { start : int; max_restarts : int }
+  | Exchange_node of { node : int }
+
+(* What a call returns, on either engine. *)
+type reply =
+  | Transferred of Valchan.result * float
+  | Drawn of Randnum.outcome * float
+  | Walked of (Walk.stats, Walk.error) result * float
+  | Exchanged of (int, Walk.error) result * float
+
+let behaviors =
+  [|
+    B.Silent;
+    B.Fixed 9;
+    B.Equivocate (7, 9);
+    B.Random_noise 3;
+    B.Bias_share 5;
+    B.Drop_walk 6;
+    B.Misroute_walk 8;
+    B.Lie_views 4;
+  |]
+
+(* Clusters [0 .. k - 1] of the given sizes, cluster [c] holding
+   [c * 100 + 0 ..]; the first [byz.(c)] members of each are corrupted,
+   member [i] with [behaviors.(kinds.(i mod |kinds|))]; a ring overlay. *)
+let oracle_config seed ~sizes ~byz ~kinds =
+  let kinds = Array.of_list kinds in
+  let byzantine node =
+    let c = node / 100 and i = node mod 100 in
+    if i < byz.(c) then Some behaviors.(kinds.(i mod Array.length kinds)) else None
+  in
+  let k = Array.length sizes in
+  let clusters = List.init k (fun c -> (c, List.init sizes.(c) (fun i -> (c * 100) + i))) in
+  let overlay = Graph.create () in
+  for c = 0 to k - 1 do
+    ignore (Graph.add_edge overlay c ((c + 1) mod k))
+  done;
+  Config.make ~rng:(Rng.of_int seed) ~byzantine ~clusters ~overlay ()
+
+let delay_models =
+  [|
+    Delay.Zero;
+    Delay.Uniform { mean = 1.0 };
+    Delay.Exponential { mean = 1.0 };
+    Delay.Straggler { mean = 1.0; every = 3; factor = 8.0 };
+    Delay.Partition { mean = 1.0; groups = 2; penalty = 3.0 };
+  |]
+
+let patiences = [| 0.5; 1.0; 2.0; 4.0; 8.0; 16.0 |]
+
+let gen_oracle_case =
+  let open QCheck.Gen in
+  let* seed = small_nat in
+  let* k = int_range 2 4 in
+  let* sizes = array_size (return k) (int_range 1 20) in
+  let* byz = array_size (return k) (float_bound_inclusive 1.0) in
+  let byz = Array.mapi (fun c f -> int_of_float (f *. float_of_int sizes.(c))) byz in
+  let* kinds = list_size (int_range 1 4) (int_range 0 (Array.length behaviors - 1)) in
+  let* delay = int_range 0 (Array.length delay_models - 1) in
+  let* patience = int_range 0 (Array.length patiences - 1) in
+  let call =
+    frequency
+      [
+        ( 3,
+          let* src = int_range 0 (k - 1) and* dst = int_range 0 (k - 1) and* walk = bool in
+          return (Transmit { src; dst; walk }) );
+        ( 3,
+          let* cluster = int_range 0 (k - 1) and* range = int_range 1 1000 in
+          return (Draw { cluster; range }) );
+        ( 2,
+          let* start = int_range 0 (k - 1) and* max_restarts = int_range 0 3 in
+          return (Rand_cl { start; max_restarts }) );
+        ( 1,
+          let* c = int_range 0 (k - 1) and* i = int_range 0 19 in
+          return (Exchange_node { node = (c * 100) + (i mod sizes.(c)) }) );
+      ]
+  in
+  let* calls = list_size (int_range 1 6) call in
+  return (seed, sizes, byz, kinds, delay, patience, calls)
+
+let print_oracle_case (seed, sizes, byz, kinds, delay, patience, calls) =
+  let ints a = String.concat "," (List.map string_of_int a) in
+  Printf.sprintf "seed=%d sizes=[%s] byz=[%s] kinds=[%s] delay=%s patience=%g calls=[%s]"
+    seed
+    (ints (Array.to_list sizes))
+    (ints (Array.to_list byz))
+    (ints kinds)
+    (Delay.name delay_models.(delay))
+    patiences.(patience)
+    (String.concat "; "
+       (List.map
+          (function
+            | Transmit { src; dst; walk } ->
+              Printf.sprintf "transmit %d->%d%s" src dst (if walk then " walk" else "")
+            | Draw { cluster; range } -> Printf.sprintf "randnum %d/%d" cluster range
+            | Rand_cl { start; max_restarts } ->
+              Printf.sprintf "rand_cl %d (restarts %d)" start max_restarts
+            | Exchange_node { node } -> Printf.sprintf "exchange_node %d" node)
+          calls))
+
+(* Everything a run exposes: each call's reply, the session counters and
+   peaks, the delay and configuration stream cursors, the ledger's
+   per-label charges and every net-detail trace event.  A walk through
+   insecure clusters ends only at its hop budget, which grows with
+   [max_restarts]: exchange_node (default restarts) runs only when every
+   cluster is secure, 3 * byz < 2 * |C|. *)
+let observe ~secure run (seed, sizes, byz, kinds, delay, patience, calls) =
+  let cfg = oracle_config seed ~sizes ~byz ~kinds in
+  let rng = Rng.of_int (seed + 1) in
+  let replies, dump =
+    Trace.profiled ~net_detail:true (fun () ->
+        run cfg ~rng ~delay:delay_models.(delay) ~patience:patiences.(patience)
+          (List.filter
+             (function Exchange_node _ -> secure | _ -> true)
+             calls))
+  in
+  ( replies,
+    Rng.save rng,
+    Rng.save (Config.rng cfg),
+    Metrics.Ledger.labels (Config.ledger cfg),
+    dump.Trace.dropped,
+    dump.Trace.events )
+
+let apply leaves cfg call =
+  match call with
+  | Transmit { src; dst; walk } ->
+    let label = if walk then "walk.token" else "valchan" in
+    let r, m = leaves.Walk.transmit ~src_cluster:src ~dst_cluster:dst ~label ~payload:7 in
+    Transferred (r, m)
+  | Draw { cluster; range } ->
+    let o, m = leaves.Walk.randnum ~cluster ~range in
+    Drawn (o, m)
+  | Rand_cl { start; max_restarts } ->
+    let r, m = Walk.rand_cl_on leaves ~max_restarts cfg ~start in
+    Walked (r, m)
+  | Exchange_node { node } ->
+    let r, m = Cluster.Exchange.exchange_node_on leaves cfg ~node in
+    Exchanged (r, m)
+
+let prop_sessions_match_queue_oracle =
+  QCheck.Test.make ~name:"async sessions == their event-queue oracle" ~count:500
+    (QCheck.make ~print:print_oracle_case gen_oracle_case)
+    (fun ((_, sizes, byz, _, _, _, _) as case) ->
+      let secure =
+        Array.for_all2 (fun size b -> 3 * b < 2 * size) sizes byz
+      in
+      let session cfg ~rng ~delay ~patience calls =
+        let s = Session.create ~patience ~rng ~delay cfg in
+        let replies = List.map (apply (Session.leaves s) cfg) calls in
+        ( replies,
+          Session.clock s,
+          Session.timeouts s,
+          Session.queue_peak s,
+          Session.inflight_peak s,
+          Session.latency_p99 s )
+      in
+      let oracle cfg ~rng ~delay ~patience calls =
+        let q = Queue_session.create ~patience ~rng ~delay cfg in
+        let replies = List.map (apply (Queue_session.leaves q) cfg) calls in
+        ( replies,
+          q.Queue_session.clock,
+          q.Queue_session.timeouts,
+          q.Queue_session.queue_peak,
+          q.Queue_session.inflight_peak,
+          Queue_session.latency_p99 q )
+      in
+      observe ~secure session case = observe ~secure oracle case)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_queue_stable_order;
@@ -581,4 +975,5 @@ let suite =
       test_async_golden;
     Alcotest.test_case "async session trace events match the golden" `Quick
       test_async_session_events_golden;
+    QCheck_alcotest.to_alcotest prop_sessions_match_queue_oracle;
   ]
