@@ -13,7 +13,8 @@
         the summary line, so the blocking reason is visible without
         scrolling the full report.
      2  format error (missing or unreadable file, unparsable JSON, wrong
-        format version)
+        format version, an experiment's rows or wall time not a finite
+        number)
 
    Caller-domain allocation aggregates (alloc_bytes, present since the
    telemetry layer landed) are compared in a purely informational band:
@@ -33,9 +34,30 @@
 
 open Bench_json
 
+let experiments j =
+  match member "experiments" j with
+  | Arr items ->
+    List.map
+      (fun item ->
+        match member "id" item with
+        | Str id -> (id, item)
+        | _ -> format_error "experiment id is not a string")
+      items
+  | _ -> format_error "\"experiments\" is not an array"
+
+(* Every gated experiment field must be a finite number: a null one
+   reads as nan, and a nan wall time or row count passes every
+   comparison below.  The invariant aggregates may be null (no sample of
+   their series), and then must be null in both files. *)
 let load path =
   let j = parse_or_exit ~where:path (read_file path) in
   if num "format" j <> 1.0 then format_error "%s: unknown format version" path;
+  List.iter
+    (fun (id, item) ->
+      let where = path ^ ": " ^ id in
+      ignore (finite ~where "rows" item);
+      ignore (finite ~where "wall_seconds" item))
+    (experiments j);
   j
 
 (* ------------------------------------------------------------------ *)
@@ -63,17 +85,6 @@ let alloc_floor = 1e6 (* runs allocating under 1 MB are all noise *)
 (* (id, baseline wall, current wall) of every blocking timing regression,
    re-listed after the summary line on exit 1. *)
 let wall_offenders : (string * float * float) list ref = ref []
-
-let experiments j =
-  match member "experiments" j with
-  | Arr items ->
-    List.map
-      (fun item ->
-        match member "id" item with
-        | Str id -> (id, item)
-        | _ -> format_error "experiment id is not a string")
-      items
-  | _ -> format_error "\"experiments\" is not an array"
 
 (* Returns the ids present only in the current run: additions are
    informational (a growing suite is not drift), and the invariant

@@ -55,6 +55,14 @@ let to_num name = function
 
 let num name j = to_num name (member name j)
 
+(* A number a gate compares or a chart plots must be finite: [num] reads
+   null as nan, every comparison with nan is false, and a plotted nan
+   has no coordinates.  [where] names the file, line or experiment. *)
+let finite ~where name j =
+  let v = num name j in
+  if Float.is_finite v then v
+  else format_error "%s: %S is not a finite number" where name
+
 (* Optional numeric field: [None] when absent or non-numeric — used for
    fields newer than some committed files (alloc_bytes, peak_live_words). *)
 let num_opt name = function

@@ -23,14 +23,9 @@ type run = {
 }
 
 let parse_line lineno line =
-  let j = parse_or_exit ~where:(Printf.sprintf "line %d" lineno) line in
-  (* [num] reads null as nan, which would reach the SVG as "nan"
-     coordinates: a plotted number must be finite. *)
-  let finite name item =
-    let v = num name item in
-    if Float.is_finite v then v
-    else format_error "line %d: %S is not a finite number" lineno name
-  in
+  let where = Printf.sprintf "line %d" lineno in
+  let j = parse_or_exit ~where line in
+  let finite = finite ~where in
   if num "format" j <> 1.0 then
     format_error "line %d: unknown format version" lineno;
   let mode =

@@ -325,7 +325,7 @@ let monitor_json ?extra_experiment ?(samples = 10) ~ok ~wall () =
   "format": 1,
   "mode": "quick",
   "experiments": [
-    {"id": "E1", "ok": %b, "rows": 6, "wall_seconds": %.3f, "alloc_bytes": 1000000}%s
+    {"id": "E1", "ok": %b, "rows": 6, "wall_seconds": %s, "alloc_bytes": 1000000}%s
   ],
   "invariants": {
     "samples": %d,
@@ -338,7 +338,8 @@ let monitor_json ?extra_experiment ?(samples = 10) ~ok ~wall () =
   }
 }
 |}
-    ok wall
+    ok
+    (match wall with Some w -> Printf.sprintf "%.3f" w | None -> "null")
     (match extra_experiment with
     | None -> ""
     | Some id ->
@@ -359,16 +360,19 @@ let test_bench_diff_exit_codes () =
     let broken = Filename.temp_file "benchdiff_broken" ".json" in
     let added = Filename.temp_file "benchdiff_added" ".json" in
     let agg_drift = Filename.temp_file "benchdiff_agg" ".json" in
-    write_file base (monitor_json ~ok:true ~wall:1.0 ());
-    write_file same (monitor_json ~ok:true ~wall:1.2 ());
-    write_file drift (monitor_json ~ok:false ~wall:9.0 ());
+    let null_wall = Filename.temp_file "benchdiff_null" ".json" in
+    write_file base (monitor_json ~ok:true ~wall:(Some 1.0) ());
+    write_file same (monitor_json ~ok:true ~wall:(Some 1.2) ());
+    write_file drift (monitor_json ~ok:false ~wall:(Some 9.0) ());
     write_file broken "{ not json";
     (* A newly registered experiment (E15-style) legitimately moves the
        run-wide invariant aggregates: informational, exit 0. *)
     write_file added
-      (monitor_json ~extra_experiment:"E15" ~samples:14 ~ok:true ~wall:1.0 ());
+      (monitor_json ~extra_experiment:"E15" ~samples:14 ~ok:true ~wall:(Some 1.0) ());
     (* The same aggregate movement with no addition is real drift. *)
-    write_file agg_drift (monitor_json ~samples:14 ~ok:true ~wall:1.0 ());
+    write_file agg_drift (monitor_json ~samples:14 ~ok:true ~wall:(Some 1.0) ());
+    (* A null wall time reads as nan, which every comparison passes. *)
+    write_file null_wall (monitor_json ~ok:true ~wall:None ());
     let diff a b =
       run_script
         (Printf.sprintf "../scripts/bench_diff.exe %s %s"
@@ -380,7 +384,8 @@ let test_bench_diff_exit_codes () =
     checki "missing file exits 2" 2 (diff base "/nonexistent/nope.json");
     checki "new experiment rows stay informational" 0 (diff base added);
     checki "aggregate drift without additions blocks" 1 (diff base agg_drift);
-    List.iter Sys.remove [ base; same; drift; broken; added; agg_drift ]
+    checki "null wall time is a format error" 2 (diff base null_wall);
+    List.iter Sys.remove [ base; same; drift; broken; added; agg_drift; null_wall ]
   end
 
 let test_bench_report_smoke () =
