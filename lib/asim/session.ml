@@ -11,16 +11,12 @@ type t = {
   delay : Delay.t;
   rng : Rng.t;
   patience : float;
-  (* randNum: arrival time of contributor [i]'s escrow / reveal at member
-     [j], at [i * n + j]; [infinity] unless it arrives by the deadline.
-     [ids] holds the members by position; [contributor] the positions
-     that escrow, in member order, and [at_boundary] how many of each
-     one's escrows arrive exactly at the phase boundary. *)
+  (* randNum: the members by position, and the arrival time of
+     contributor [i]'s escrow / reveal at member [j], at [i * n + j];
+     [infinity] unless it arrives by the deadline. *)
+  mutable ids : int array;
   mutable escrow_at : float array;
   mutable reveal_at : float array;
-  mutable ids : int array;
-  mutable contributor : int array;
-  mutable at_boundary : int array;
   (* valChan: the destinations by position and whether each is honest;
      per destination [d] and source position [s], at [d * n + s], the
      arrival and value of the copy from [s] that [d] receives first by the
@@ -53,11 +49,9 @@ let create ?(patience = 8.0) ~rng ~delay cfg =
     delay;
     rng;
     patience;
+    ids = [||];
     escrow_at = [||];
     reveal_at = [||];
-    ids = [||];
-    contributor = [||];
-    at_boundary = [||];
     dsts = [||];
     honest = [||];
     vote_at = [||];
@@ -321,18 +315,16 @@ let randnum_session t ~cluster ~range =
   let secure = Randnum.secure cfg members in
   let deadline = timeout t in
   let boundary = 0.5 *. deadline in
+  t.ids <- fit t.ids n 0;
   t.escrow_at <- fit t.escrow_at (n * n) infinity;
   t.reveal_at <- fit t.reveal_at (n * n) infinity;
-  t.ids <- fit t.ids n 0;
-  t.contributor <- fit t.contributor n 0;
-  t.at_boundary <- fit t.at_boundary n 0;
-  let escrow_at = t.escrow_at and reveal_at = t.reveal_at and ids = t.ids in
+  let ids = t.ids and escrow_at = t.escrow_at and reveal_at = t.reveal_at in
+  List.iteri (fun j id -> ids.(j) <- id) members;
   Array.fill escrow_at 0 (n * n) infinity;
   Array.fill reveal_at 0 (n * n) infinity;
-  List.iteri (fun j id -> ids.(j) <- id) members;
   let ledger = Config.ledger cfg and detail = Trace.net_detail () in
-  (* Contributor [i]'s share to every other member, sent at [time]: each
-     copy that arrives by the deadline lands in [tbl]. *)
+  (* Member [i]'s share to every other member, sent at [time]: each copy
+     that arrives by the deadline lands in [tbl]. *)
   let multicast tbl ~time i =
     let src = ids.(i) in
     for j = 0 to n - 1 do
@@ -348,42 +340,39 @@ let randnum_session t ~cluster ~range =
   in
   (* Contributions are drawn in member order, exactly like the synchronous
      session — same Config/behaviour stream consumption. *)
-  let contributions = ref [] and c = ref 0 in
+  let contributions = ref [] in
   List.iteri
     (fun i id ->
       match Randnum.contribution cfg id with
       | None -> ()
       | Some share ->
         contributions := (i, (id, share)) :: !contributions;
-        t.contributor.(!c) <- i;
-        incr c;
         multicast escrow_at ~time:0.0 i)
     members;
-  let c = !c in
-  (* The queue peaks of the [(time, seq)] kernel this replaces.  Set-up
-     queues [c * n] events: [c * (n - 1)] escrows and [c] boundary timers.
-     Before the k-th timer fires, E_k escrows have been delivered: those
-     arriving before the boundary, plus those arriving exactly at it from
-     the first k contributors, which were queued before that timer.  Its
-     reveals then leave [c * n - E_k - k + k * (n - 1)] events queued,
+  (* The reveals, in contributor order, with the queue peaks of the
+     [(time, seq)] kernel this replaces.  Set-up queues [c * n] events:
+     [c * (n - 1)] escrows and [c] boundary timers.  Before the k-th timer
+     fires, E_k escrows have been delivered: those arriving before the
+     boundary, plus those arriving exactly at it from the first k
+     contributors, which were queued before that timer.  Its reveals then
+     leave [c * n - E_k - k + k * (n - 1)] events queued,
      [c * (n - 1) - E_k + k * (n - 1)] of them messages in flight. *)
-  let early = ref 0 in
-  for k = 0 to c - 1 do
-    let i = t.contributor.(k) in
-    let exact = ref 0 in
-    for j = i * n to ((i + 1) * n) - 1 do
-      let at = escrow_at.(j) in
-      if at < boundary then incr early else if at = boundary then incr exact
-    done;
-    t.at_boundary.(k) <- !exact
+  let c = List.length !contributions in
+  let delivered = ref 0 in
+  for j = 0 to (n * n) - 1 do
+    if escrow_at.(j) < boundary then incr delivered
   done;
-  let queue = ref (c * n) and inflight = ref (c * (n - 1)) and delivered = ref !early in
-  for k = 1 to c do
-    multicast reveal_at ~time:boundary t.contributor.(k - 1);
-    delivered := !delivered + t.at_boundary.(k - 1);
-    queue := max !queue ((c * n) - !delivered - k + (k * (n - 1)));
-    inflight := max !inflight ((c * (n - 1)) - !delivered + (k * (n - 1)))
-  done;
+  let queue = ref (c * n) and inflight = ref (c * (n - 1)) in
+  List.iteri
+    (fun k (i, _) ->
+      for j = i * n to ((i + 1) * n) - 1 do
+        if escrow_at.(j) = boundary then incr delivered
+      done;
+      multicast reveal_at ~time:boundary i;
+      let k = k + 1 in
+      queue := max !queue ((c * n) - !delivered - k + (k * (n - 1)));
+      inflight := max !inflight ((c * (n - 1)) - !delivered + (k * (n - 1))))
+    (List.rev !contributions);
   note_peaks t ~queue:!queue ~inflight:!inflight;
   (* A share is reconstructible iff a strict majority of the members holds
      both halves on time (the contributor itself counts for its own
