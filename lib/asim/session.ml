@@ -17,14 +17,12 @@ type t = {
   mutable ids : int array;
   mutable escrow_at : float array;
   mutable reveal_at : float array;
-  (* valChan: the destinations by position and whether each is honest;
-     per destination [d] and source position [s], at [d * n + s], the
-     arrival and value of the copy from [s] that [d] receives first by the
-     deadline ([infinity] while none has); and one destination's tally:
-     its voting sources in delivery order, the distinct values and their
-     counts. *)
+  (* valChan: the destinations by position; per destination [d] and
+     source position [s], at [d * n + s], the arrival and value of the
+     copy from [s] that [d] receives first by the deadline ([infinity]
+     while none has); and one destination's tally: its voting sources in
+     delivery order, the distinct values and their counts. *)
   mutable dsts : int array;
-  mutable honest : bool array;
   mutable vote_at : float array;
   mutable vote_value : int array;
   mutable order : int array;
@@ -53,7 +51,6 @@ let create ?(patience = 8.0) ~rng ~delay cfg =
     escrow_at = [||];
     reveal_at = [||];
     dsts = [||];
-    honest = [||];
     vote_at = [||];
     vote_value = [||];
     order = [||];
@@ -166,31 +163,25 @@ let valchan_session t ~src_cluster ~dst_cluster ~label ~payload =
   let threshold = n / 2 in
   let deadline = timeout t in
   t.dsts <- fit t.dsts m 0;
-  t.honest <- fit t.honest m false;
   t.vote_at <- fit t.vote_at (m * n) infinity;
   t.vote_value <- fit t.vote_value (m * n) 0;
   t.order <- fit t.order n 0;
   t.values <- fit t.values n 0;
   t.counts <- fit t.counts n 0;
-  let dsts = t.dsts and honest = t.honest in
-  let vote_at = t.vote_at and vote_value = t.vote_value in
-  List.iteri
-    (fun d id ->
-      dsts.(d) <- id;
-      honest.(d) <- not (Config.is_byzantine cfg id))
-    dst_members;
+  let dsts = t.dsts and vote_at = t.vote_at and vote_value = t.vote_value in
+  List.iteri (fun d id -> dsts.(d) <- id) dst_members;
   Array.fill vote_at 0 (m * n) infinity;
   let sent = ref 0 and detail = Trace.net_detail () in
   (* One copy from source position [s] to [dst], which sits at position
      [d] among the destinations ([-1] outside them): draw its delay, and
-     keep it if it reaches an honest destination by the deadline strictly
+     keep it if it reaches the destination by the deadline strictly
      before every earlier copy from [s] — the copy a queue delivers
      first. *)
   let copy ~s ~src ~dst ~d ~deviant value =
     incr sent;
     let at = 0.0 +. Delay.sample t.delay t.rng ~src ~dst in
     if detail then trace_copy ~time:0 ~src ~dst ~label ~deviant;
-    if d >= 0 && honest.(d) && at <= deadline then begin
+    if d >= 0 && at <= deadline then begin
       let k = (d * n) + s in
       if at < vote_at.(k) then begin
         vote_at.(k) <- at;
@@ -265,7 +256,7 @@ let valchan_session t ~src_cluster ~dst_cluster ~label ~payload =
      majority (the deadline when it never did). *)
   let timed_out = ref false and makespan = ref 0.0 and verdicts = ref [] in
   for d = 0 to m - 1 do
-    if honest.(d) then begin
+    if not (Config.is_byzantine cfg dsts.(d)) then begin
       let k = decide d in
       let verdict =
         if k < 0 then begin
