@@ -1,8 +1,9 @@
-(* Tests for the asynchronous discrete-event engine (lib/asim): event-queue
-   ordering properties, the delay-model catalogue, the zero-delay
-   cross-validation against the synchronous message engine, and the
-   determinism contracts of the async scenario driver (rerun and -j
-   byte-identity, zero perturbation under recording). *)
+(* Tests for the asynchronous engine (lib/asim): event-queue ordering
+   properties, the delay-model catalogue, the zero-delay cross-validation
+   against the synchronous message engine, the sessions against their
+   event-queue oracle, and the determinism contracts of the async scenario
+   driver (rerun and -j byte-identity, zero perturbation under
+   recording). *)
 
 module Queue = Asim.Event_queue
 module Delay = Asim.Delay
@@ -278,6 +279,35 @@ let test_async_randnum_half_quorum_stalls () =
   checki "no share reaches a strict majority" 0 o.Randnum.participants;
   checkb "stalled" true o.Randnum.stalled;
   checkb "at the deadline" true (makespan = Session.timeout s)
+
+(* A draw reads only its own n * n cells of the arrays a session reuses,
+   and its queue peaks follow the closed form.  Under
+   [straggler:every=3,factor=8] cluster 0's twenty members (no multiple
+   of 3) are fast, and fifteen of them are silent: its five contributors
+   queue 5 * 20 = 100 events, 95 of them escrows that all arrive before
+   the boundary 4, in cells past the 100 cluster 1 uses.  Cluster 1's ten
+   members (all multiples of 3) are slow, so none of their escrows
+   arrives by the boundary and the queue is longest after the last
+   timer: 100 - 10 + 10 * 9 = 180 events, all of them messages. *)
+let test_randnum_peaks_after_a_larger_draw () =
+  let fast = List.init 20 (fun i -> (3 * (i / 2)) + 1 + (i mod 2)) in
+  let slow = List.init 10 (fun i -> 300 + (3 * i)) in
+  let overlay = Graph.create () in
+  ignore (Graph.add_edge overlay 0 1);
+  let cfg =
+    Config.make ~rng:(Rng.of_int 50)
+      ~byzantine:(fun node -> if node < 23 then Some B.Silent else None)
+      ~clusters:[ (0, fast); (1, slow) ]
+      ~overlay ()
+  in
+  let delay = Delay.Straggler { mean = 1.0; every = 3; factor = 8.0 } in
+  let s = Session.create ~rng:(Rng.of_int 51) ~delay cfg in
+  ignore (Session.randnum s ~cluster:0 ~range:10);
+  checki "queue peak after the larger draw" 100 (Session.queue_peak s);
+  checki "in-flight peak after the larger draw" 95 (Session.inflight_peak s);
+  ignore (Session.randnum s ~cluster:1 ~range:10);
+  checki "queue peak after the smaller draw" 180 (Session.queue_peak s);
+  checki "in-flight peak after the smaller draw" 180 (Session.inflight_peak s)
 
 let ring_config ~rng =
   let clusters =
@@ -957,6 +987,8 @@ let suite =
       test_randnum_secure_boundary;
     Alcotest.test_case "async randNum: n/2 on-time holders is no quorum" `Quick
       test_async_randnum_half_quorum_stalls;
+    Alcotest.test_case "randNum queue peaks after a larger draw" `Quick
+      test_randnum_peaks_after_a_larger_draw;
     Alcotest.test_case "zero-delay walk == synchronous endpoint" `Quick
       test_zero_delay_walk_matches_sync;
     Alcotest.test_case "zero-delay exchange == synchronous exchange" `Quick
