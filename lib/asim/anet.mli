@@ -1,14 +1,21 @@
 (** The asynchronous message kernel: point-to-point messages with seeded
     per-link delays, delivered by a discrete-event loop.
 
+    The reference kernel: no library session runs on it any more.  The
+    leaf sub-sessions of {!Session} never send from a delivery handler,
+    so they compute each copy's arrival directly; the tests run the same
+    exchanges on this kernel as the oracle those sessions are checked
+    against, and {!Session.queue_peak} keeps this kernel's definition of
+    the queue peaks.
+
     Mirrors the synchronous {!Simkernel.Net} surface — nodes with
     handlers, [send]/[multicast] with per-label ledger charging and
     [--net-detail] trace points — but replaces the round barrier with an
     {!Event_queue}: each send draws one delay from the kernel's
     {!Prng.Rng} stream and schedules delivery at [now + delay]; {!run}
     pops events in [(time, seq)] order, so simultaneous deliveries arrive
-    in send order.  A session sends ints (valChan payloads, randNum's
-    int-coded phases) over the one kernel it reuses ({!reset}).
+    in send order.  The oracle sends ints (valChan payloads, randNum's
+    int-coded phases) over one kernel it reuses ({!reset}).
 
     Determinism: the kernel is strictly sequential and every delay comes
     from the one [rng] handed to {!create} (never [Stdlib.Random] or
@@ -32,8 +39,9 @@ val reset : 'msg t -> unit
 (** Return the kernel to its state at {!create} — no nodes, no queued
     events, clock and counters at 0 — keeping the same ledger, delay
     model and delay stream (which is {e not} rewound) and the grown queue
-    storage.  A session reuses one kernel across its sub-sessions this
-    way instead of growing a fresh one each time. *)
+    storage.  The tests' queue-based session oracle reuses one kernel
+    across its sub-sessions this way instead of growing a fresh one each
+    time. *)
 
 val add_node : 'msg t -> id:int -> (src:int -> 'msg -> unit) -> unit
 (** Register a node; its handler runs once per delivered message, at the
@@ -64,15 +72,15 @@ val multicast :
 
 val at : 'msg t -> time:float -> (unit -> unit) -> unit
 (** Schedule a timer callback at absolute virtual time [time] (it reads
-    the clock with {!now}) — the hook sessions use for phase boundaries
-    and timeout checks.  Ordered against deliveries by the same
+    the clock with {!now}) — the hook for phase boundaries, such as
+    randNum's reveals, and timeout checks.  Ordered against deliveries by the same
     [(time, seq)] rule. *)
 
 val run : ?until:float -> 'msg t -> unit
 (** Process queued events in [(time, seq)] order.  With [until], only
     events scheduled at or before it run and the clock then advances to
-    exactly [until] (later events stay queued — a session that resets
-    the kernel drops its stragglers); without it, runs to quiescence. *)
+    exactly [until] (later events stay queued — a caller that resets the
+    kernel drops its stragglers); without it, runs to quiescence. *)
 
 val queue_peak : 'msg t -> int
 (** Largest event-queue length ever reached (messages + timers) — a pure

@@ -1,5 +1,9 @@
 (** The asynchronous kernel's ordered event queue.
 
+    It orders the events of {!Anet}, the reference kernel that no library
+    session runs on any more: the tests' queue-based oracle of
+    {!Session} drives it.
+
     A binary min-heap keyed by [(time, seq)]: events pop in non-decreasing
     scheduled time, and events scheduled for the {e same} time pop in the
     order they were pushed (the [seq] counter is the insertion index since

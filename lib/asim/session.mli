@@ -2,18 +2,26 @@
 
     A session wraps a {!Cluster.Config} with a {!Delay} model, a delay
     RNG stream and a patience bound.  It owns only delivery: the two leaf
-    primitives (valChan and randNum) run as real discrete-event exchanges
-    on the session's own {!Anet}, with deadlines and first-vote tallies,
-    while every decision — each corrupted member's sends and shares, the
-    secure test, the stall rule and the mix — is {!Cluster.Valchan}'s and
+    primitives (valChan and randNum) deliver every copy after its own
+    per-link delay, with deadlines and first-vote tallies, while every
+    decision — each corrupted member's sends and shares, the secure
+    test, the stall rule and the mix — is {!Cluster.Valchan}'s and
     {!Cluster.Randnum}'s own.  randCl and exchange are the synchronous
-    engine's composites run over the session's {!leaves}.  The session
-    owns one kernel and resets it for every sub-session; its
-    per-sub-session tallies live in position-indexed arrays it reuses, so
-    a session must not be shared between domains.  Each primitive returns
-    its usual result {e plus} its makespan — the virtual time the session
-    took — and the session accumulates makespans into a running
-    {!clock}.
+    engine's composites run over the session's {!leaves}.
+
+    No delivery in a leaf sub-session sends anything: every valChan copy
+    and every randNum escrow leaves at time 0, and the reveals leave at
+    the phase boundary.  So no event queue runs.  Each copy's arrival is
+    its send time plus one delay draw, drawn in the order {!Anet} would
+    draw it, and each honest valChan destination tallies its copies in
+    the order a [(time, seq)] queue would deliver them: by arrival, ties
+    in send order.  Results, makespans, delay draws, ledger charges and
+    net-detail points equal those of the same exchanges run on {!Anet},
+    which the tests keep as the oracle.  The per-sub-session tallies live
+    in position-indexed arrays the session reuses, so a session must not
+    be shared between domains.  Each primitive returns its usual result
+    {e plus} its makespan — the virtual time the session took — and the
+    session accumulates makespans into a running {!clock}.
 
     Timeout discipline: every sub-session has a deadline of
     [patience * Delay.mean delay] virtual time units; randNum
@@ -60,8 +68,8 @@ val rng_cursor : t -> int64
     Every sub-session's makespan is additionally recorded into a
     {!Metrics.Histogram.Buckets} keyed by the primitive's trace label
     (["valchan"], ["randnum"], ["walk.token"], ["exchange.announce"],
-    ...), with deadline hits tallied per label and each sub-session
-    kernel's queue peaks folded into session-wide maxima.  All of it is
+    ...), with deadline hits tallied per label and each sub-session's
+    queue peaks folded into session-wide maxima.  All of it is
     a pure function of the session's deterministic event streams —
     reading it draws no randomness and mutates nothing, so the monitor
     exports it under the byte-identical-for-any-[-j] gates. *)
@@ -87,11 +95,16 @@ val timeouts_for : t -> label:string -> int
 (** Deadline hits recorded under [label] (sums to {!timeouts}). *)
 
 val queue_peak : t -> int
-(** Largest {!Anet} event-queue length across all sub-sessions. *)
+(** Largest event-queue length across all sub-sessions: the length a
+    [(time, seq)] kernel ({!Anet}) running the same sub-session would
+    reach, messages and timers counted.  A valChan transfer queues every
+    copy before the first delivery, so its peak is the copies sent; a
+    randNum draw's follows in closed form from the escrows that arrive
+    before each boundary timer fires. *)
 
 val inflight_peak : t -> int
 (** Largest simultaneous undelivered-message count across all
-    sub-sessions. *)
+    sub-sessions, under the same definition as {!queue_peak}. *)
 
 val transmit :
   t -> src_cluster:int -> dst_cluster:int -> ?label:string -> payload:int ->

@@ -26,8 +26,8 @@ type error =
   | `Too_many_restarts
     (** the endpoint-acceptance coin never landed, or the walk's hops,
         counted across restarts, passed [max_restarts + 1] times the hops
-        one segment expects — only possible when the draws are insecure
-        and so always read 0 *) ]
+        one segment expects — where a walk whose draws are insecure, and
+        so always read 0, ends instead of running forever *) ]
 
 type stats = {
   selected : int;  (** the chosen cluster *)
