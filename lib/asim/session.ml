@@ -340,8 +340,8 @@ let randnum_session t ~cluster ~range =
         contributions := (i, (id, share)) :: !contributions;
         multicast escrow_at ~time:0.0 i)
     members;
-  (* The reveals, in contributor order, with the queue peaks of the
-     [(time, seq)] kernel this replaces.  Set-up queues [c * n] events:
+  (* The reveals, in contributor order, with the queue peaks a
+     [(time, seq)] kernel would reach.  Set-up queues [c * n] events:
      [c * (n - 1)] escrows and [c] boundary timers.  Before the k-th timer
      fires, E_k escrows have been delivered: those arriving before the
      boundary, plus those arriving exactly at it from the first k

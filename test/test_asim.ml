@@ -575,11 +575,11 @@ let test_async_session_events_golden () =
 
 (* ---------- the sessions vs their event-queue oracle ----------
 
-   valChan and randNum as they ran on the [(time, seq)] kernel before the
-   sessions computed each copy's arrival directly: every copy is a queued
-   event delivered to a handler, and randNum's reveals leave from timers
-   at the phase boundary.  Kept, with the session bookkeeping the
-   comparison reads, as the oracle the sessions are checked against. *)
+   valChan and randNum run on the [(time, seq)] kernel: every copy is a
+   queued event delivered to a handler, and randNum's reveals leave from
+   timers at the phase boundary.  With the session bookkeeping the
+   comparison reads, this is the oracle the sessions, which compute each
+   copy's arrival directly, are checked against. *)
 
 module Queue_session = struct
   module Anet = Asim.Anet
