@@ -323,11 +323,13 @@ let randnum_session t ~cluster ~range =
         let dst = ids.(j) in
         let at = time +. Delay.sample t.delay t.rng ~src ~dst in
         if detail then
-          trace_copy ~time:(int_of_float time) ~src ~dst ~label:"randnum" ~deviant:false;
+          trace_copy ~time:(int_of_float time) ~src ~dst ~label:"randnum"
+            ~deviant:false;
         if at <= deadline then tbl.((i * n) + j) <- at
       end
     done;
-    if n > 1 then Metrics.Ledger.charge ledger ~label:"randnum" ~messages:(n - 1) ~rounds:0
+    if n > 1 then
+      Metrics.Ledger.charge ledger ~label:"randnum" ~messages:(n - 1) ~rounds:0
   in
   (* Contributions are drawn in member order, exactly like the synchronous
      session — same Config/behaviour stream consumption. *)

@@ -563,13 +563,15 @@ let test_async_session_events_golden () =
   checki "timeouts" 2 (Session.timeouts s);
   checki "queue peak" 35 (Session.queue_peak s);
   checki "in-flight peak" 35 (Session.inflight_peak s);
-  Alcotest.(check int64) "delay-stream cursor" 5868043997075344670L (Session.rng_cursor s);
+  Alcotest.(check int64)
+    "delay-stream cursor" 5868043997075344670L (Session.rng_cursor s);
   Alcotest.(check (list (triple string int int)))
     "charges"
     [ ("randnum", 50, 0); ("walk.token", 12, 0) ]
     (Metrics.Ledger.labels (Config.ledger cfg));
   let golden =
-    In_channel.with_open_bin "golden/async_session_net_detail.jsonl" In_channel.input_all
+    In_channel.with_open_bin "golden/async_session_net_detail.jsonl"
+      In_channel.input_all
   in
   checks "events = golden" golden (Trace.to_jsonl dump)
 
@@ -831,7 +833,9 @@ let oracle_config seed ~sizes ~byz ~kinds =
     if i < byz.(c) then Some behaviors.(kinds.(i mod Array.length kinds)) else None
   in
   let k = Array.length sizes in
-  let clusters = List.init k (fun c -> (c, List.init sizes.(c) (fun i -> (c * 100) + i))) in
+  let clusters =
+    List.init k (fun c -> (c, List.init sizes.(c) (fun i -> (c * 100) + i)))
+  in
   let overlay = Graph.create () in
   for c = 0 to k - 1 do
     ignore (Graph.add_edge overlay c ((c + 1) mod k))
@@ -863,7 +867,9 @@ let gen_oracle_case =
     frequency
       [
         ( 3,
-          let* src = int_range 0 (k - 1) and* dst = int_range 0 (k - 1) and* walk = bool in
+          let* src = int_range 0 (k - 1)
+          and* dst = int_range 0 (k - 1)
+          and* walk = bool in
           return (Transmit { src; dst; walk }) );
         ( 3,
           let* cluster = int_range 0 (k - 1) and* range = int_range 1 1000 in
@@ -881,7 +887,8 @@ let gen_oracle_case =
 
 let print_oracle_case (seed, sizes, byz, kinds, delay, patience, calls) =
   let ints a = String.concat "," (List.map string_of_int a) in
-  Printf.sprintf "seed=%d sizes=[%s] byz=[%s] kinds=[%s] delay=%s patience=%g calls=[%s]"
+  Printf.sprintf
+    "seed=%d sizes=[%s] byz=[%s] kinds=[%s] delay=%s patience=%g calls=[%s]"
     seed
     (ints (Array.to_list sizes))
     (ints (Array.to_list byz))
@@ -926,7 +933,9 @@ let apply leaves cfg call =
   match call with
   | Transmit { src; dst; walk } ->
     let label = if walk then "walk.token" else "valchan" in
-    let r, m = leaves.Walk.transmit ~src_cluster:src ~dst_cluster:dst ~label ~payload:7 in
+    let r, m =
+      leaves.Walk.transmit ~src_cluster:src ~dst_cluster:dst ~label ~payload:7
+    in
     Transferred (r, m)
   | Draw { cluster; range } ->
     let o, m = leaves.Walk.randnum ~cluster ~range in
