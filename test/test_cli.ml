@@ -67,6 +67,9 @@ let refused =
     "experiments E7 --monitor-json MISSING/x";
     "experiments E7 --history MISSING/h";
     "bisect --perturb-rng 3 --steps 5 --perturb-at 10";
+    "scenario target --engine msg --steps 1 --cells 1";
+    "scenario dos --engine mixed --steps 1 --cells 1";
+    "trace async --scenario target --steps 1 --cells 1";
   ]
   (* A device that refuses every write: the error surfaces only when the
      channel is flushed at close. *)

@@ -179,55 +179,65 @@ let test_msg_driver_supports () =
       (match Scenario.Msg_driver.supports spec with
       | Error _ -> true
       | Ok () -> false);
-    checkb "check_supported msg rejects" true
-      (match Scenario.check_supported `Msg spec with
-      | Error _ -> true
-      | Ok () -> false);
+    List.iter
+      (fun engine ->
+        checkb
+          ("check_supported rejects on " ^ Scenario.engine_name engine)
+          true
+          (match Scenario.check_supported engine spec with
+          | Error _ -> true
+          | Ok () -> false))
+      [ `Msg; `Mixed; `Async ];
     checkb "check_supported state accepts" true
       (Scenario.check_supported `State spec = Ok ())
 
-(* ---------- golden message-engine run ----------
+(* ---------- golden runs ----------
 
-   The digest stream and stat lines of a short run of the synchronous
-   message engine against equivocating members, recorded before the
-   kernel stopped queueing messages nobody reads and committed under
-   test/golden.  The -j and rerun gates only compare a commit with
-   itself; this pins the engine's verdicts, RNG draws and message counts
-   across commits.  On a mismatch, [now_sim bisect --file-a/--file-b]
-   against the golden file names the first divergent step. *)
+   [check_golden] runs [cells] cells of a spec at seed 5 and compares
+   their stat lines, and optionally their digest stream, with values
+   committed here and under test/golden.  The -j and rerun gates only
+   compare a commit with itself; these pin verdicts, RNG draws and
+   message counts across commits.  On a digest mismatch,
+   [now_sim bisect --file-a/--file-b] against the golden file names the
+   first divergent step.
+
+   - msg: a short run of the synchronous message engine against
+     equivocating members, recorded before the kernel stopped queueing
+     messages nobody reads.
+   - state: the steady scenario, recorded with
+     [now_sim audit state --cells 2 --seed 5].  The arena-vs-reference
+     suite cannot see a change to code both engines share
+     ({!Audit.Digest_of}, the exchange epoch's charges); this file can.
+   - async and mixed: three cells each, so every engine's cell seed
+     offset (state 101, msg 401, async 701) and mixed's parity rule are
+     pinned, recorded with [now_sim scenario steady --engine async|mixed
+     --cells 3 --seed 5]. *)
+
+let check_golden ~engine ~cells ?digests spec summaries () =
+  let r = Audit.create () in
+  let results =
+    Audit.with_recorder r (fun () ->
+        Scenario.cells ~jobs:1 ~engine ~seed:5 ~cells spec)
+  in
+  Option.iter
+    (fun file ->
+      checks "digest stream = golden"
+        (In_channel.with_open_bin file In_channel.input_all)
+        (Audit.Export.jsonl_string r))
+    digests;
+  Alcotest.(check (list string))
+    "stat lines = golden" summaries
+    (List.map (fun (label, s) -> label ^ " " ^ Stats.summary s) results)
 
 let golden_spec = { Scenario.steady with Spec.behavior = Some "equivocate" }
 
-let golden_summaries =
+let msg_golden_summaries =
   [
     "msg:steady n=96 #C=6 joins=12 leaves=12 splits=0 merges=0 churn-fail=0 \
      min-honest=0.688 viol=0 msgs=7829197";
     "msg:steady n=96 #C=6 joins=12 leaves=12 splits=0 merges=0 churn-fail=0 \
      min-honest=0.688 viol=0 msgs=8095804";
   ]
-
-let test_msg_golden () =
-  let r = Audit.create () in
-  let cells =
-    Audit.with_recorder r (fun () ->
-        Scenario.cells ~jobs:1 ~engine:`Msg ~seed:5 ~cells:2 golden_spec)
-  in
-  let golden =
-    In_channel.with_open_bin "golden/msg_equivocate_steady.jsonl" In_channel.input_all
-  in
-  checks "digest stream = golden" golden (Audit.Export.jsonl_string r);
-  Alcotest.(check (list string))
-    "stat lines = golden" golden_summaries
-    (List.map (fun (label, s) -> label ^ " " ^ Stats.summary s) cells)
-
-(* ---------- golden state-engine run ----------
-
-   The same pin for the state-level engine: the digest stream and stat
-   lines of the steady scenario on [`State], recorded with
-   [now_sim audit state --cells 2 --seed 5] and committed under
-   test/golden.  The arena-vs-reference suite cannot see a change to
-   code both engines share ({!Audit.Digest_of}, the exchange epoch's
-   charges); this file can. *)
 
 let state_golden_summaries =
   [
@@ -237,19 +247,25 @@ let state_golden_summaries =
      min-honest=0.766 viol=0 msgs=914251676";
   ]
 
-let test_state_golden () =
-  let r = Audit.create () in
-  let cells =
-    Audit.with_recorder r (fun () ->
-        Scenario.cells ~jobs:1 ~engine:`State ~seed:5 ~cells:2 Scenario.steady)
-  in
-  let golden =
-    In_channel.with_open_bin "golden/state_steady.jsonl" In_channel.input_all
-  in
-  checks "digest stream = golden" golden (Audit.Export.jsonl_string r);
-  Alcotest.(check (list string))
-    "stat lines = golden" state_golden_summaries
-    (List.map (fun (label, s) -> label ^ " " ^ Stats.summary s) cells)
+let async_golden_summaries =
+  [
+    "async:steady n=96 #C=6 joins=12 leaves=12 splits=0 merges=0 churn-fail=0 \
+     min-honest=0.706 viol=0 msgs=7825299 vt=2187.347 timeouts=0 lat_p99=7.999";
+    "async:steady n=96 #C=6 joins=12 leaves=12 splits=0 merges=0 churn-fail=0 \
+     min-honest=0.688 viol=0 msgs=7813508 vt=1775.844 timeouts=0 lat_p99=8.000";
+    "async:steady n=96 #C=6 joins=12 leaves=12 splits=0 merges=0 churn-fail=0 \
+     min-honest=0.688 viol=0 msgs=8995176 vt=1905.625 timeouts=0 lat_p99=7.999";
+  ]
+
+let mixed_golden_summaries =
+  [
+    "state:steady n=240 #C=3 joins=12 leaves=12 splits=0 merges=0 churn-fail=0 \
+     min-honest=0.790 viol=0 msgs=911132501";
+    "msg:steady n=96 #C=6 joins=12 leaves=12 splits=0 merges=0 churn-fail=0 \
+     min-honest=0.688 viol=0 msgs=8760309";
+    "state:steady n=240 #C=3 joins=12 leaves=12 splits=0 merges=0 churn-fail=0 \
+     min-honest=0.787 viol=0 msgs=898003993";
+  ]
 
 (* ---------- per-label charges vs net-detail points ----------
 
@@ -323,9 +339,18 @@ let suite =
     Alcotest.test_case "msg driver declares unsupported strategies" `Quick
       test_msg_driver_supports;
     Alcotest.test_case "equivocating msg run matches the golden stream" `Quick
-      test_msg_golden;
+      (check_golden ~engine:`Msg ~cells:2
+         ~digests:"golden/msg_equivocate_steady.jsonl" golden_spec
+         msg_golden_summaries);
     Alcotest.test_case "steady state-engine run matches the golden stream" `Quick
-      test_state_golden;
+      (check_golden ~engine:`State ~cells:2 ~digests:"golden/state_steady.jsonl"
+         Scenario.steady state_golden_summaries);
+    Alcotest.test_case "steady async cells match the golden stat lines" `Quick
+      (check_golden ~engine:`Async ~cells:3 Scenario.steady
+         async_golden_summaries);
+    Alcotest.test_case "steady mixed cells match the golden stat lines" `Quick
+      (check_golden ~engine:`Mixed ~cells:3 Scenario.steady
+         mixed_golden_summaries);
     Alcotest.test_case "msg run charges each label its net.send points" `Quick
       (test_charges_match_net_points `Msg);
     Alcotest.test_case "async run charges each label its net.send points" `Quick
