@@ -879,9 +879,9 @@ let byz_cmd =
 
 (* The trace / monitor / scenario sub-commands all fan the same cell
    construction out on the Exec pool: cell [i] of a spec runs on the
-   state-level engine, the message-level engine, or alternates between
-   them ([Scenario.cell_driver]), with all randomness derived from
-   --seed and [i]. *)
+   state-level, message-level or asynchronous engine, or alternates
+   between the first two ([Scenario.cells]), with all randomness derived
+   from --seed and [i]. *)
 
 (* Built on [Scenario.engine_of_name] rather than [Arg.enum] so an
    unknown name gets the library's catalogue-listing error, and the

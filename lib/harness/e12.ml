@@ -46,7 +46,7 @@ let run ?(mode = Common.Quick) ?(seed = 1212L) () =
   let driver =
     Scenario.Msg_driver.create ~seed ~labels:[ ("experiment", "E12") ] spec
   in
-  let s = Scenario.run_driver spec (Scenario.Msg driver) in
+  let s = Scenario.run_driver (module Scenario.Msg_driver) spec driver in
   let table =
     Table.create
       ~title:"E12 / full message-level NOW maintenance (real messages end-to-end)"

@@ -62,7 +62,7 @@ let run ?(mode = Common.Quick) ?(seed = 303L) () =
         ~labels:[ ("experiment", "E3"); ("variant", v.name) ]
         spec
     in
-    let s = Scenario.run_driver spec (Scenario.State driver) in
+    let s = Scenario.run_driver (module Scenario.State_driver) spec driver in
     let minhf = s.Scenario.Stats.min_honest_fraction in
     let target_frac = s.Scenario.Stats.target_byz_fraction in
     let violations = s.Scenario.Stats.violations_now in

@@ -23,20 +23,20 @@ let supports (spec : Spec.t) =
     | Ok _ -> Ok ()
     | Error msg -> Error (Printf.sprintf "scenario %S: %s" spec.Spec.name msg))
 
-let of_config ?patience ~rng ?labels (spec : Spec.t) cfg =
+let of_config ~rng ?labels (spec : Spec.t) cfg =
   let delay = delay_of_spec spec in
   (* Split the delay stream off the driver's root after construction:
      the configuration build consumes the same prefix as the synchronous
      message driver, and the delay stream is derived, not shared. *)
-  let session = Session.create ?patience ~rng:(Rng.split rng) ~delay cfg in
+  let session = Session.create ~rng:(Rng.split rng) ~delay cfg in
   let inner =
     Msg_driver.of_config ~leaves:(Session.leaves session) ~rng ?labels spec cfg
   in
   { spec; inner; session }
 
-let of_rng ?patience ~rng ?labels (spec : Spec.t) =
+let of_rng ~rng ?labels (spec : Spec.t) =
   (match supports spec with Ok () -> () | Error msg -> invalid_arg msg);
-  of_config ?patience ~rng ?labels spec (Msg_driver.build ~rng spec)
+  of_config ~rng ?labels spec (Msg_driver.build ~rng spec)
 
 let create ~seed ?labels spec = of_rng ~rng:(Rng.create seed) ?labels spec
 

@@ -15,45 +15,30 @@
     the [rng] digest, so a mis-seeded delay stream is bisectable like any
     other stream drift.  Under the ["zero"] delay model a driver equals a
     {!Msg_driver} over an identical configuration (tested), except that
-    it counts no rounds. *)
+    it counts no rounds.
 
-type t
+    Over {!Driver.S}: [supports] is {!Msg_driver}'s plus validation of
+    the spec's [delay] name against the {!Asim.Delay} catalogue.
+    [create_cell]'s root stream is [Rng.of_int (seed + 701 * (cell + 1))]
+    — the asynchronous engine's own cell offset, disjoint from the state
+    (101) and message (401) families.  [label] is [async:scenario-name].
+    [step] is the inner driver's {!Msg_driver.advance} (its primitives
+    asynchronous), then an audit frame carrying the delay-stream cursor.
+    [sample] is the inner driver's configuration sample plus the
+    session's [asim.clock], [asim.timeouts], per-primitive [asim.lat.*]
+    and [asim.queue.*] gauges.  [stats] is the inner driver's tallies
+    plus the session's virtual time, deadline hits and 99th-percentile
+    makespan. *)
 
-val supports : Spec.t -> (unit, string) result
-(** {!Msg_driver.supports} plus validation of the spec's [delay] name
-    against the {!Asim.Delay} catalogue; constructors raise
-    [Invalid_argument] with the same message. *)
+include Driver.S
 
 val create : seed:int64 -> ?labels:(string * string) list -> Spec.t -> t
 (** Experiment-style construction from [Rng.create seed] (the
     {!Msg_driver.create} convention); the delay stream is split off the
     root after the configuration is built. *)
 
-val create_cell :
-  seed:int -> cell:int -> ?labels:(string * string) list -> Spec.t -> t
-(** CLI-cell-style construction: the root stream is
-    [Rng.of_int (seed + 701 * (cell + 1))] — the asynchronous engine's
-    own cell offset, disjoint from the state (101) and message (401)
-    families. *)
-
 val of_config :
-  ?patience:float -> rng:Prng.Rng.t -> ?labels:(string * string) list ->
-  Spec.t -> Cluster.Config.t -> t
+  rng:Prng.Rng.t -> ?labels:(string * string) list -> Spec.t ->
+  Cluster.Config.t -> t
 (** Wrap an already-built configuration (bespoke experiment geometries),
     like {!Msg_driver.of_config}; the delay stream is [Rng.split rng]. *)
-
-val label : t -> string
-(** See {!Driver.S.label}: [async:scenario-name]. *)
-
-val step : t -> time:int -> unit
-(** See {!Driver.S.step}: the inner driver's {!Msg_driver.advance} (its
-    primitives asynchronous), then an audit frame carrying the
-    delay-stream cursor. *)
-
-val sample : t -> time:int -> unit
-(** See {!Driver.S.sample}: the inner driver's configuration sample plus
-    the [asim.clock] / [asim.timeouts] gauges. *)
-
-val stats : t -> Driver.Stats.t
-(** See {!Driver.S.stats}: the inner driver's tallies plus the session's
-    virtual time, deadline hits and 99th-percentile makespan. *)

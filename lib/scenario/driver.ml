@@ -87,6 +87,11 @@ end
 module type S = sig
   type t
 
+  val supports : Spec.t -> (unit, string) result
+
+  val create_cell :
+    seed:int -> cell:int -> ?labels:(string * string) list -> Spec.t -> t
+
   val label : t -> string
   val step : t -> time:int -> unit
   val sample : t -> time:int -> unit

@@ -3,10 +3,12 @@
     A driver owns one running instance of a scenario — an engine or
     message-level configuration plus the mutable tallies of everything the
     trajectory did — and exposes the uniform surface the generic runner
-    needs: advance one step, emit a monitor sample, report final
-    statistics.  {!State_driver} implements it over [Now_core.Engine]
-    (generalising [Adversary.run]); {!Msg_driver} implements it over
-    [Cluster] with real per-node messages. *)
+    needs: check a spec, build a cell, advance one step, emit a monitor
+    sample, report final statistics.  {!State_driver} implements it over
+    [Now_core.Engine] (generalising [Adversary.run]), {!Msg_driver} over
+    [Cluster] with real per-node messages, and {!Async_driver} over an
+    [Asim.Session]; each [.mli] includes {!S}, so the compiler checks the
+    three against it. *)
 
 module Stats : sig
   type t = {
@@ -73,6 +75,21 @@ end
 
 module type S = sig
   type t
+  (** One running trajectory: what the driver built from a spec, plus its
+      tallies. *)
+
+  val supports : Spec.t -> (unit, string) result
+  (** [Error], with a CLI-friendly message, when this driver cannot run
+      the spec; the driver's constructors raise [Invalid_argument] with
+      the same message. *)
+
+  val create_cell :
+    seed:int -> cell:int -> ?labels:(string * string) list -> Spec.t -> t
+  (** CLI-cell-style construction: cell [cell] of a fan-out seeded by
+      [seed].  Each driver derives the cell's streams from
+      [seed + offset * (cell + 1)] with an offset of its own (state 101,
+      message 401, asynchronous 701), so no two engines' cells share a
+      stream.  [labels] tag every monitor sample and audit frame. *)
 
   val label : t -> string
   (** Short display label ([kind:scenario-name]). *)
@@ -89,6 +106,6 @@ module type S = sig
   val stats : t -> Stats.t
   (** Tallies so far. *)
 end
-(** The uniform driving surface.  Construction is driver-specific (each
-    engine has its own seeding conventions), so [create] lives in the
-    implementations. *)
+(** The uniform driving surface.  Experiment-style construction
+    ([create], [of_config]) stays in the implementations, since each
+    engine has its own seeding conventions and geometries. *)

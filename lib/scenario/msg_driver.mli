@@ -16,14 +16,21 @@
 
     Churn operations the protocol refuses under heavy corruption are
     counted as [churn_failures], never raised — so violation-path
-    scenarios ([tau > 1/3]) stay drivable. *)
+    scenarios ([tau > 1/3]) stay drivable.
 
-type t
+    Over {!Driver.S}: [supports] refuses a spec whose churn needs
+    state-level corruption placement ([Target_cluster], [Dos_honest]).
+    [create_cell] replicates the historical now_sim cells: the root
+    stream is [Rng.of_int (seed + 401 * (cell + 1))].  [step] is one
+    churn action per the spec (for [Random_churn p] a band of ±10 nodes
+    around the creation population is restored before the coin is
+    flipped; [Ambient] workloads plan against that population as [n0]),
+    then the enabled primitives in walk / randNum / valChan order, a
+    periodic exchange, a full {!scan}, and an audit frame.  [sample] is
+    [Monitor.maybe_sample_config] under the creation labels with degree
+    bound [2 * overlay_degree]. *)
 
-val supports : Spec.t -> (unit, string) result
-(** [Error] (with a CLI-friendly message) when the spec's churn needs
-    state-level corruption placement ([Target_cluster], [Dos_honest]);
-    constructors raise [Invalid_argument] with the same message. *)
+include Driver.S
 
 val create : seed:int64 -> ?labels:(string * string) list -> Spec.t -> t
 (** Experiment-style construction: one root stream [Rng.create seed]
@@ -31,11 +38,6 @@ val create : seed:int64 -> ?labels:(string * string) list -> Spec.t -> t
     E5/E12 convention).  [labels] tag every monitor sample and counter.
     Raises [Invalid_argument] on unsupported churn or an unknown
     behaviour name. *)
-
-val create_cell :
-  seed:int -> cell:int -> ?labels:(string * string) list -> Spec.t -> t
-(** CLI-cell-style construction, replicating the historical now_sim
-    cells: the root stream is [Rng.of_int (seed + 401 * (cell + 1))]. *)
 
 val of_rng : rng:Prng.Rng.t -> ?labels:(string * string) list -> Spec.t -> t
 (** Construction from an existing stream (the [par_map_trials] index
@@ -115,24 +117,6 @@ val randnum_hist : t -> int array
 val labels : t -> (string * string) list
 (** The monitor/trace labels fixed at creation. *)
 
-val label : t -> string
-(** See {!Driver.S.label}. *)
-
-val step : t -> time:int -> unit
-(** See {!Driver.S.step}: one churn action per the spec (for
-    [Random_churn p] a band of ±10 nodes around the creation population
-    is restored before the coin is flipped; [Ambient] workloads plan
-    against that population as [n0]), then the enabled primitives in
-    walk / randNum / valChan order, a periodic exchange, and a full
-    cluster scan (sizes, honest majorities, honest-fraction floor). *)
-
 val advance : t -> time:int -> unit
 (** {!step} without its audit frame, for a driver that records its own
     (the asynchronous driver adds its delay-stream cursor). *)
-
-val sample : t -> time:int -> unit
-(** See {!Driver.S.sample}: [Monitor.maybe_sample_config] under the
-    creation labels with degree bound [2 * overlay_degree]. *)
-
-val stats : t -> Driver.Stats.t
-(** See {!Driver.S.stats}. *)

@@ -60,8 +60,6 @@ let catalogue =
       (fun (name, doc) -> (name, "strategy-driven: " ^ doc))
       Adversary.strategy_catalogue
 
-let names = List.map fst catalogue
-
 let of_name ?steps name =
   let lower = String.lowercase_ascii name in
   let base =
@@ -86,7 +84,7 @@ let of_name ?steps name =
   | _ ->
     Error
       (Printf.sprintf "unknown scenario %S; available: %s" name
-         (String.concat ", " names))
+         (String.concat ", " (List.map fst catalogue)))
 
 type engine = [ `State | `Msg | `Mixed | `Async ]
 
@@ -106,78 +104,42 @@ let engine_of_name = function
       (Printf.sprintf "unknown engine %S; available: state, msg, mixed, async"
          other)
 
-type driver =
-  | State of State_driver.t
-  | Msg of Msg_driver.t
-  | Async of Async_driver.t
+(* The driver that runs cell [i] on [engine], with its kind for the
+   cell's labels: [`Mixed] alternates by cell parity, even cells
+   state-level. *)
+let driver_of (engine : engine) i : string * (module Driver.S) =
+  match engine with
+  | `State -> ("state", (module State_driver))
+  | `Msg -> ("msg", (module Msg_driver))
+  | `Async -> ("async", (module Async_driver))
+  | `Mixed when i mod 2 = 0 -> ("state", (module State_driver))
+  | `Mixed -> ("msg", (module Msg_driver))
 
-let step d ~time =
-  match d with
-  | State t -> State_driver.step t ~time
-  | Msg t -> Msg_driver.step t ~time
-  | Async t -> Async_driver.step t ~time
-
-let sample d ~time =
-  match d with
-  | State t -> State_driver.sample t ~time
-  | Msg t -> Msg_driver.sample t ~time
-  | Async t -> Async_driver.sample t ~time
-
-let stats = function
-  | State t -> State_driver.stats t
-  | Msg t -> Msg_driver.stats t
-  | Async t -> Async_driver.stats t
-
-let label = function
-  | State t -> State_driver.label t
-  | Msg t -> Msg_driver.label t
-  | Async t -> Async_driver.label t
-
-let run_driver ?steps (spec : Spec.t) d =
+let run_driver (type d) ?steps (module D : Driver.S with type t = d)
+    (spec : Spec.t) (d : d) =
   let steps = Option.value steps ~default:spec.Spec.steps in
-  if spec.Spec.sample_start then sample d ~time:0;
+  if spec.Spec.sample_start then D.sample d ~time:0;
   let every = max 1 spec.Spec.sample_every in
   for time = 1 to steps do
-    step d ~time;
-    if time mod every = 0 then sample d ~time
+    D.step d ~time;
+    if time mod every = 0 then D.sample d ~time
   done;
-  if steps mod every <> 0 then sample d ~time:steps;
-  stats d
+  if steps mod every <> 0 then D.sample d ~time:steps;
+  D.stats d
 
-let cell_labels ~scenario i =
-  [ ("cell", string_of_int i); ("scenario", scenario) ]
-
-let cell_driver ~engine ~seed (spec : Spec.t) i =
-  let which =
-    match engine with
-    | `State -> `State
-    | `Msg -> `Msg
-    | `Async -> `Async
-    | `Mixed -> if i mod 2 = 0 then `State else `Msg
+(* Cells 0 and 1 cover every driver an engine uses. *)
+let check_supported engine (spec : Spec.t) =
+  let supports i =
+    let _, (module D : Driver.S) = driver_of engine i in
+    D.supports spec
   in
-  match which with
-  | `State ->
-    State
-      (State_driver.create_cell ~seed ~cell:i
-         ~labels:(cell_labels ~scenario:"state" i) spec)
-  | `Msg ->
-    Msg
-      (Msg_driver.create_cell ~seed ~cell:i
-         ~labels:(cell_labels ~scenario:"msg" i) spec)
-  | `Async ->
-    Async
-      (Async_driver.create_cell ~seed ~cell:i
-         ~labels:(cell_labels ~scenario:"async" i) spec)
-
-let check_supported (engine : engine) (spec : Spec.t) =
-  match engine with
-  | `State -> Ok ()
-  | `Msg | `Mixed -> Msg_driver.supports spec
-  | `Async -> Async_driver.supports spec
+  Result.bind (supports 0) (fun () -> supports 1)
 
 let cells ?jobs ?steps ~engine ~seed ~cells (spec : Spec.t) =
   Exec.par_map ?jobs
     (fun i ->
-      let d = cell_driver ~engine ~seed spec i in
-      (label d, run_driver ?steps spec d))
+      let kind, (module D : Driver.S) = driver_of engine i in
+      let labels = [ ("cell", string_of_int i); ("scenario", kind) ] in
+      let d = D.create_cell ~seed ~cell:i ~labels spec in
+      (D.label d, run_driver ?steps (module D) spec d))
     (List.init cells (fun i -> i))

@@ -33,9 +33,6 @@ val catalogue : (string * string) list
     names from {!Adversary.strategy_catalogue} are included (each yields
     a strategy-churn scenario). *)
 
-val names : string list
-(** The names of {!catalogue}, in catalogue order. *)
-
 val of_name : ?steps:int -> string -> (Spec.t, string) result
 (** Parse a catalogue name (case-insensitive) into its spec.  Strategy
     names accept the [name:key=value,...] parameters of
@@ -55,13 +52,8 @@ val engine_name : engine -> string
 val engine_of_name : string -> (engine, string) result
 (** Inverse of {!engine_name}, with a friendly error. *)
 
-type driver =
-  | State of State_driver.t
-  | Msg of Msg_driver.t
-  | Async of Async_driver.t
-(** A running driver of any engine, for generic stepping. *)
-
-val run_driver : ?steps:int -> Spec.t -> driver -> Driver.Stats.t
+val run_driver :
+  ?steps:int -> (module Driver.S with type t = 'd) -> Spec.t -> 'd -> Stats.t
 (** Run the spec's loop on a driver: an optional time-0 sample
     ([sample_start]), then [steps] (default the spec's) steps sampling
     every [sample_every]-th, with a final sample when the duration is not
@@ -69,8 +61,8 @@ val run_driver : ?steps:int -> Spec.t -> driver -> Driver.Stats.t
     sampling contract. *)
 
 val check_supported : engine -> Spec.t -> (unit, string) result
-(** {!Msg_driver.supports} when the engine involves message-level cells,
-    {!Async_driver.supports} for [`Async]; always [Ok] for [`State]. *)
+(** [Ok] when every driver the engine uses supports the spec, else the
+    first refusal ({!Driver.S.supports}). *)
 
 val cells :
   ?jobs:int ->
@@ -82,7 +74,6 @@ val cells :
   (string * Driver.Stats.t) list
 (** Fan [cells] independent cells of the scenario over the [Exec] pool
     and return each cell's [(label, stats)] in submission order.  Cell
-    [i] is seeded by index ([seed + 101 (i+1)] state-level,
-    [seed + 401 (i+1)] message-level, [seed + 701 (i+1)] asynchronous —
-    the historical now_sim offsets) and labelled [("cell", i); ("scenario", kind)], so results are
-    byte-identical for any [?jobs]. *)
+    [i] is built by its driver's {!Driver.S.create_cell}, which seeds it
+    by index, and labelled [("cell", i); ("scenario", kind)], so results
+    are byte-identical for any [?jobs]. *)

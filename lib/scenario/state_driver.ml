@@ -53,6 +53,8 @@ let make ~engine ~adv_seed ?(labels = []) (spec : Spec.t) =
     min_honest = Engine.min_honest_fraction engine;
   }
 
+let supports (_ : Spec.t) = Ok ()
+
 let create ~seed ?labels (spec : Spec.t) =
   let pop_rng = Rng.create (Int64.add seed 11L) in
   let engine = build_engine ~pop_rng ~engine_seed:seed spec in

@@ -6,9 +6,21 @@
     existing strategy trajectories (E3's attack sweeps) replay
     bit-for-bit.  The {!Spec.drive} primitive flags are message-level
     toggles and are ignored here — the state engine charges its
-    primitives through the churn operations themselves. *)
+    primitives through the churn operations themselves.
 
-type t
+    Over {!Driver.S}: [supports] accepts every spec.  [create_cell]
+    replicates the historical now_sim cells: the cell seed is
+    [seed + 101 * (cell + 1)], the population rng is
+    [Rng.of_int (cell_seed + 1)], the engine seeds from [cell_seed] and a
+    [Strategy] adversary from [cell_seed + 7] (the [churn] subcommand's
+    offset).  [step] is one churn step per the spec ([Static] none,
+    [Paired] a {!join} then a {!leave}, [Strategy] one adversary step),
+    then the running honest-fraction floor is updated.  [sample] is
+    [Monitor.maybe_sample_engine] under the creation labels.  [stats]
+    under [Strategy] churn reports the adversary's join/leave tallies,
+    honest floor and target fraction. *)
+
+include Driver.S
 
 val initial_population :
   Prng.Rng.t -> n:int -> tau:float -> Now_core.Node.honesty list
@@ -21,14 +33,6 @@ val create : seed:int64 -> ?labels:(string * string) list -> Spec.t -> t
     [default_engine]: the population rng is [Rng.create (seed + 11)], the
     engine and the adversary (for [Strategy] churn) both seed from [seed]
     directly.  [labels] tag every monitor sample. *)
-
-val create_cell :
-  seed:int -> cell:int -> ?labels:(string * string) list -> Spec.t -> t
-(** CLI-cell-style construction, replicating the historical now_sim
-    cells: the cell seed is [seed + 101 * (cell + 1)], the population rng
-    is [Rng.of_int (cell_seed + 1)], the engine seeds from [cell_seed]
-    and a [Strategy] adversary from [cell_seed + 7] (the [churn]
-    subcommand's offset). *)
 
 val engine : t -> Now_core.Engine.t
 (** The driven engine, for direct inspection (invariant checks,
@@ -44,19 +48,3 @@ val join : t -> Now_core.Engine.op_report
 val leave : t -> Now_core.Engine.op_report
 (** Departure of a uniformly random node, tallied; returns the cost
     report. *)
-
-val label : t -> string
-(** See {!Driver.S.label}. *)
-
-val step : t -> time:int -> unit
-(** See {!Driver.S.step}: one churn step per the spec ([Static] none,
-    [Paired] a {!join} then a {!leave}, [Strategy] one adversary step),
-    then the running honest-fraction floor is updated. *)
-
-val sample : t -> time:int -> unit
-(** See {!Driver.S.sample}: [Monitor.maybe_sample_engine] under the
-    creation labels. *)
-
-val stats : t -> Driver.Stats.t
-(** See {!Driver.S.stats}; [Strategy] churn reports the adversary's
-    join/leave tallies, honest floor and target fraction. *)

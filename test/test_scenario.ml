@@ -85,7 +85,7 @@ let test_registry_round_trip () =
             (match spec.Spec.churn with
             | Spec.Strategy _ -> true
             | Spec.Static | Spec.Paired -> false))
-    Scenario.names;
+    (List.map fst Scenario.catalogue);
   checkb "unknown name is rejected" true
     (match Scenario.of_name "nosuch" with Error _ -> true | Ok _ -> false)
 
@@ -134,11 +134,11 @@ let small_steady = { Scenario.steady with Spec.steps = 4 }
 
 let run_state seed =
   let d = Scenario.State_driver.create ~seed small_steady in
-  Scenario.run_driver small_steady (Scenario.State d)
+  Scenario.run_driver (module Scenario.State_driver) small_steady d
 
 let run_msg seed =
   let d = Scenario.Msg_driver.create ~seed small_steady in
-  Scenario.run_driver small_steady (Scenario.Msg d)
+  Scenario.run_driver (module Scenario.Msg_driver) small_steady d
 
 let test_rerun_identical_state () =
   checkb "state driver rerun is bit-identical" true (run_state 9L = run_state 9L);
@@ -283,13 +283,13 @@ let test_charges_match_net_points engine () =
     match engine with
     | `Msg ->
       let d = Scenario.Msg_driver.create_cell ~seed:5 ~cell:0 spec in
-      ignore (Scenario.run_driver ~steps:2 spec (Scenario.Msg d));
+      ignore (Scenario.run_driver ~steps:2 (module Scenario.Msg_driver) spec d);
       Scenario.Msg_driver.ledger d
     | `Async ->
       let rng = Rng.of_int (5 + 701) in
       let cfg = Scenario.Msg_driver.build ~rng spec in
       let d = Scenario.Async_driver.of_config ~rng spec cfg in
-      ignore (Scenario.run_driver ~steps:2 spec (Scenario.Async d));
+      ignore (Scenario.run_driver ~steps:2 (module Scenario.Async_driver) spec d);
       Cluster.Config.ledger cfg
   in
   let ledger, dump = Trace.profiled ~net_detail:true run in
