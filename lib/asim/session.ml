@@ -41,7 +41,8 @@ type t = {
 }
 
 let create ?(patience = 8.0) ~rng ~delay cfg =
-  if patience <= 0.0 then invalid_arg "Session.create: patience must be positive";
+  if not (patience > 0.0 && Float.is_finite patience) then
+    invalid_arg "Session.create: patience must be positive and finite";
   {
     cfg;
     delay;

@@ -46,8 +46,8 @@ val create : ?patience:float -> rng:Prng.Rng.t -> delay:Delay.t -> Cluster.Confi
 (** Wrap a configuration.  [rng] is the delay stream (drawn only for link
     delays, never for protocol values — the configuration keeps its own
     stream); [patience] (default 8) sets each sub-session's deadline to
-    [patience * Delay.mean delay].  Raises [Invalid_argument] on
-    non-positive patience. *)
+    [patience * Delay.mean delay].  Raises [Invalid_argument] unless
+    [patience] is positive and finite. *)
 
 val timeout : t -> float
 (** The per-sub-session deadline, [patience * Delay.mean delay]. *)

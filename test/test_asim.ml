@@ -280,6 +280,20 @@ let test_async_randnum_half_quorum_stalls () =
   checkb "stalled" true o.Randnum.stalled;
   checkb "at the deadline" true (makespan = Session.timeout s)
 
+(* A patience that is not positive and finite would put every deadline
+   at nan, zero, a negative time or infinity. *)
+let test_session_refuses_bad_patience () =
+  let cfg = single_config ~rng:(Rng.of_int 60) ~n:4 in
+  List.iter
+    (fun patience ->
+      checkb
+        (Printf.sprintf "patience %g raises" patience)
+        true
+        (match Session.create ~patience ~rng:(Rng.of_int 61) ~delay:Delay.Zero cfg with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ Float.nan; 0.0; -1.0; Float.infinity ]
+
 (* A draw reads only its own n * n cells of the arrays a session reuses,
    and its queue peaks follow the closed form.  Under
    [straggler:every=3,factor=8] cluster 0's twenty members (no multiple
@@ -996,6 +1010,8 @@ let suite =
       test_randnum_secure_boundary;
     Alcotest.test_case "async randNum: n/2 on-time holders is no quorum" `Quick
       test_async_randnum_half_quorum_stalls;
+    Alcotest.test_case "session refuses a patience that is not positive and finite"
+      `Quick test_session_refuses_bad_patience;
     Alcotest.test_case "randNum queue peaks after a larger draw" `Quick
       test_randnum_peaks_after_a_larger_draw;
     Alcotest.test_case "zero-delay walk == synchronous endpoint" `Quick
