@@ -4,11 +4,11 @@
 # (** ... *) header, and every top-level `val`/`type`/`exception` item
 # must carry an odoc comment — either ending within the three lines above
 # the item (doc-above style) or following the item before the next item
-# (doc-after / inline style).  The engine and cluster-table operations
-# are declared once, in the `module type S = sig ... end` of
-# lib/core/engine_impl.ml and lib/core/table_intf.ml, which the .mli
-# files include; the items of those two signatures are checked under the
-# same rule.  This runs without odoc installed and complements the
+# (doc-after / inline style).  The engine, cluster-table and scenario
+# driver operations are declared once, in the `module type S = sig ...
+# end` of lib/core/engine_impl.ml, lib/core/table_intf.ml and
+# lib/scenario/driver.mli, which the .mli files include; the items of
+# those three signatures are checked under the same rule.  This runs without odoc installed and complements the
 # `dune build @doc` job in CI.
 set -eu
 
@@ -76,7 +76,7 @@ for f in lib/*/*.mli; do
     check_file "$f"
 done
 
-for f in lib/core/engine_impl.ml lib/core/table_intf.ml; do
+for f in lib/core/engine_impl.ml lib/core/table_intf.ml lib/scenario/driver.mli; do
     check_items "$f" sig
 done
 
