@@ -80,8 +80,8 @@ module type S = sig
 
   val supports : Spec.t -> (unit, string) result
   (** [Error], with a CLI-friendly message, when this driver cannot run
-      the spec; the driver's constructors raise [Invalid_argument] with
-      the same message. *)
+      the spec's churn or delay model; the driver's constructors raise
+      [Invalid_argument] with the same message. *)
 
   val create_cell :
     seed:int -> cell:int -> ?labels:(string * string) list -> Spec.t -> t

@@ -8,8 +8,8 @@
 # driver operations are declared once, in the `module type S = sig ...
 # end` of lib/core/engine_impl.ml, lib/core/table_intf.ml and
 # lib/scenario/driver.mli, which the .mli files include; the items of
-# those three signatures are checked under the same rule.  This runs without odoc installed and complements the
-# `dune build @doc` job in CI.
+# those three signatures are checked under the same rule.  This runs
+# without odoc installed and complements the `dune build @doc` job in CI.
 set -eu
 
 cd "$(dirname "$0")/.."
