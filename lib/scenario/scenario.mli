@@ -53,7 +53,7 @@ val engine_of_name : string -> (engine, string) result
 (** Inverse of {!engine_name}, with a friendly error. *)
 
 val run_driver :
-  ?steps:int -> (module Driver.S with type t = 'd) -> Spec.t -> 'd -> Stats.t
+  ?steps:int -> (module Driver.S with type t = 'd) -> Spec.t -> 'd -> Driver.Stats.t
 (** Run the spec's loop on a driver: an optional time-0 sample
     ([sample_start]), then [steps] (default the spec's) steps sampling
     every [sample_every]-th, with a final sample when the duration is not
